@@ -127,6 +127,7 @@ func main() {
 				s.SharedBins, s.MaxSocketShare, s.Phase1.String(), s.Phase2.String(), s.Rearr.String())
 		}
 		t.Render(os.Stdout)
+		fmt.Printf("%d of %d levels serial\n", res.Trace.SerialSteps, res.Steps)
 	}
 
 	if *csvPath != "" && res.Trace != nil {

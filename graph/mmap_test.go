@@ -54,20 +54,26 @@ func TestLoadMmapIdentical(t *testing.T) {
 		t.Fatal("mmap-loaded graph reports no mapped bytes")
 	}
 
-	// Traversals over the mapped graph must be byte-identical to the
-	// heap graph — parents included, not just depths.
+	// Traversals over the mapped graph must give the heap graph's depths
+	// exactly and a valid BFS tree. Parents are checked for validity, not
+	// identity: with more than one worker the benign-race protocol lets
+	// either of two same-depth parents win, run to run.
 	for _, source := range []uint32{0, 1, uint32(g.NumVertices() / 2)} {
 		rh, err := bfs.Run(heap, source, bfs.Default(1))
 		if err != nil {
 			t.Fatalf("heap run: %v", err)
 		}
-		hDP := append([]uint64(nil), rh.DP...)
 		rm, err := bfs.Run(mapped, source, bfs.Default(1))
 		if err != nil {
 			t.Fatalf("mmap run: %v", err)
 		}
-		if !reflect.DeepEqual(hDP, rm.DP) {
-			t.Fatalf("source %d: DP arrays differ between heap and mmap graphs", source)
+		for v := 0; v < g.NumVertices(); v++ {
+			if dh, dm := rh.Depth(uint32(v)), rm.Depth(uint32(v)); dh != dm {
+				t.Fatalf("source %d: vertex %d at depth %d on the heap graph, %d on the mapped one", source, v, dh, dm)
+			}
+		}
+		if err := bfs.Validate(mapped, rm); err != nil {
+			t.Fatalf("source %d: mmap run: %v", source, err)
 		}
 	}
 	runtime.KeepAlive(mapped)

@@ -142,20 +142,7 @@ func (e *Engine) bottomUp(st *workerState, depth uint32, wLo, wHi int) {
 		}
 		if claimed != 0 {
 			nextW[wi] |= claimed
-			// Mirror the claims into the VIS structure so later top-down
-			// levels skip them at probe cost, not DP cost.
-			switch {
-			case visWords != nil:
-				visWords[wi] |= claimed
-			case e.visByte != nil:
-				for c := claimed; c != 0; c &= c - 1 {
-					e.visByte.TrySet(base + uint32(bits.TrailingZeros32(c)))
-				}
-			case e.visAtomic != nil:
-				for c := claimed; c != 0; c &= c - 1 {
-					e.visAtomic.TrySet(base + uint32(bits.TrailingZeros32(c)))
-				}
-			}
+			e.markClaimed(visWords, wi, claimed)
 			if e.cfg.Instrument {
 				for c := claimed; c != 0; c &= c - 1 {
 					e.chargeVisit(st, base+uint32(bits.TrailingZeros32(c)))
@@ -164,6 +151,33 @@ func (e *Engine) bottomUp(st *workerState, depth uint32, wLo, wHi int) {
 		}
 	}
 	e.nxt.Arrays[st.id] = next
+}
+
+// markClaimed mirrors exclusive DP claims — the vertices of bitmap word
+// wi selected by mask — into the VIS structure, so later cohort top-down
+// levels skip them at probe cost, not DP cost. For callers that own the
+// word: a bottom-up worker's range, or the serial fast path. visWords is
+// the caller's hoisted e.visBit.Words() (nil for the other VIS kinds);
+// that case is split out so it inlines into the callers' loops.
+func (e *Engine) markClaimed(visWords []uint32, wi int, mask uint32) {
+	if visWords != nil {
+		visWords[wi] |= mask
+		return
+	}
+	e.markClaimedEach(uint32(wi)<<5, mask)
+}
+
+func (e *Engine) markClaimedEach(base, mask uint32) {
+	switch {
+	case e.visByte != nil:
+		for c := mask; c != 0; c &= c - 1 {
+			e.visByte.TrySet(base + uint32(bits.TrailingZeros32(c)))
+		}
+	case e.visAtomic != nil:
+		for c := mask; c != 0; c &= c - 1 {
+			e.visAtomic.TrySet(base + uint32(bits.TrailingZeros32(c)))
+		}
+	}
 }
 
 // directionStep records the finished level's direction and decides the
@@ -178,13 +192,18 @@ func (e *Engine) directionStep(m *trace.StepMetrics, total int64) {
 		// steps leave it alone, matching GAP: the estimate only needs to
 		// be conservative).
 		e.muEdges -= m.Edges
-		if e.muEdges < 0 {
-			e.muEdges = 0
-		}
 		var scout int64 // m_f: out-edge sum of the frontier just produced
 		for _, st := range e.ws {
 			scout += st.nextDeg
 			st.nextDeg = 0
+		}
+		// The new frontier's out-edges are by definition unexamined, so
+		// m_u >= m_f. Without duplicate claims that already holds and this
+		// is a no-op; a racing cohort expands a doubly-claimed vertex twice,
+		// m.Edges over-counts, and m_u would otherwise sink to 0 and flip a
+		// late level at any α.
+		if e.muEdges < scout {
+			e.muEdges = scout
 		}
 		if total > 0 && float64(scout) > float64(e.muEdges)/e.cfg.Alpha {
 			e.dir = DirBottomUp

@@ -177,11 +177,12 @@ type Config struct {
 	// StepHook, when non-nil, is invoked by the coordinating worker once
 	// per completed traversal step, inside the same exclusive window
 	// that checks the run context (so it is ordered against every other
-	// worker by the step barriers). It exists for the fault-injection
-	// harness: a hook may sleep (slow-traversal injection) or panic
-	// (mid-run crash injection; the panic poisons the step barrier and
-	// is recovered by the parallel runtime, surfacing as an error from
-	// Run). Leave nil in production.
+	// worker by the step barriers; levels on the serial fast path invoke
+	// it from the one goroutine running them). It exists for the
+	// fault-injection harness: a hook may sleep (slow-traversal
+	// injection) or panic (mid-run crash injection; the panic poisons the
+	// step barrier and is recovered by the parallel runtime, surfacing as
+	// an error from Run). Leave nil in production.
 	StepHook func(step int)
 }
 

@@ -71,6 +71,11 @@ type Engine struct {
 	ws       []*workerState
 	bar      *par.Barrier
 
+	// serialBelow is the per-level work bound of the small-frontier fast
+	// path (see serialLevelWork). A field rather than the constant so
+	// in-package tests can force the path off (0) or always on (MaxInt64).
+	serialBelow int64
+
 	// Hybrid (direction-optimizing) state, allocated when cfg.Hybrid.
 	// in is the in-adjacency used by bottom-up scans; it is resolved
 	// lazily on the first switch and cached for the Engine's lifetime,
@@ -124,6 +129,8 @@ func New(g *graph.Graph, cfg Config) (*Engine, error) {
 		cur:  frontier.New(cfg.Workers),
 		nxt:  frontier.New(cfg.Workers),
 		bar:  par.NewBarrier(cfg.Workers),
+
+		serialBelow: serialLevelWork,
 	}
 	switch cfg.VIS {
 	case VISAtomicBit:
@@ -232,9 +239,10 @@ func (e *Engine) Run(source uint32) (*Result, error) {
 }
 
 // RunContext performs a BFS from source under ctx. Worker 0 checks the
-// context between phase barriers, so cancellation or a deadline aborts
-// the traversal within one step and Run returns ctx.Err(). The engine
-// stays reusable after a canceled run: the next Run resets all state.
+// context between phase barriers (and once per level on the serial fast
+// path), so cancellation or a deadline aborts the traversal within one
+// step and Run returns ctx.Err(). The engine stays reusable after a
+// canceled run: the next Run resets all state.
 func (e *Engine) RunContext(ctx context.Context, source uint32) (*Result, error) {
 	n := e.g.NumVertices()
 	if int(source) >= n {
@@ -292,18 +300,27 @@ func (e *Engine) RunContext(ctx context.Context, source uint32) (*Result, error)
 	e.totApps = 1 // the seeded source counts as visited work
 
 	start := time.Now()
-	// A panicking worker poisons the barrier before re-panicking so the
-	// surviving workers drain instead of deadlocking; par.Run recovers
-	// the panic and returns it as an error.
-	runErr := par.Run(e.cfg.Workers, func(w int) {
-		defer func() {
-			if r := recover(); r != nil {
-				e.bar.Break()
-				panic(r)
-			}
-		}()
-		e.worker(w)
-	})
+	// Prologue: the source level is always small, so the run starts on
+	// this goroutine (par.Run with one worker spawns nothing and turns a
+	// panic into the same *PanicError a cohort worker's would be). A
+	// traversal whose every level stays small ends here and never
+	// launches the cohort.
+	maxSteps := e.stepLimit()
+	runErr := par.Run(1, func(int) { e.serialLevels(maxSteps) })
+	if runErr == nil && !e.stop {
+		// A panicking worker poisons the barrier before re-panicking so
+		// the surviving workers drain instead of deadlocking; par.Run
+		// recovers the panic and returns it as an error.
+		runErr = par.Run(e.cfg.Workers, func(w int) {
+			defer func() {
+				if r := recover(); r != nil {
+					e.bar.Break()
+					panic(r)
+				}
+			}()
+			e.worker(w, maxSteps)
+		})
+	}
 	elapsed := time.Since(start)
 	if runErr != nil {
 		return nil, fmt.Errorf("core: traversal aborted: %w", runErr)
@@ -348,16 +365,20 @@ func (e *Engine) RunContext(ctx context.Context, source uint32) (*Result, error)
 	return res, nil
 }
 
-// worker is the per-goroutine step loop (paper Figure 3).
-func (e *Engine) worker(w int) {
-	st := e.ws[w]
-	maxSteps := e.cfg.MaxSteps
-	if maxSteps == 0 {
-		maxSteps = e.g.NumVertices() + 1
+// stepLimit resolves cfg.MaxSteps (0 means |V|+1).
+func (e *Engine) stepLimit() int {
+	if e.cfg.MaxSteps != 0 {
+		return e.cfg.MaxSteps
 	}
+	return e.g.NumVertices() + 1
+}
+
+// worker is the per-goroutine step loop (paper Figure 3).
+func (e *Engine) worker(w, maxSteps int) {
+	st := e.ws[w]
 	twoPhase := e.cfg.Scheme != SchemeSinglePhase
 
-	for step := uint32(1); ; step++ {
+	for {
 		if w == 0 {
 			if e.dir == DirTopDown {
 				e.curLayout = frontier.BuildLayout(e.cur)
@@ -374,10 +395,13 @@ func (e *Engine) worker(w int) {
 			return
 		}
 
-		// e.dir was written by worker 0 in the previous finishStep; the
-		// barrier above orders that write against this read, so the whole
-		// cohort takes the same branch (the two paths use different
-		// barrier counts — divergence would deadlock).
+		// e.steps and e.dir were written by worker 0 in the previous
+		// finishStep (or the prologue); the barrier above orders those
+		// writes against these reads. The step number is not a local
+		// counter because finishStep may have run further levels serially.
+		// The whole cohort takes the same direction branch (the two paths
+		// use different barrier counts — divergence would deadlock).
+		step := uint32(e.steps) + 1
 		if e.dir == DirBottomUp {
 			if !e.bottomUpStep(st, step, maxSteps) {
 				return
@@ -454,14 +478,27 @@ func (e *Engine) worker(w int) {
 	}
 }
 
-// finishStep aggregates metrics, swaps frontiers and decides termination.
-// Runs on worker 0 between barriers.
+// finishStep closes a cohort level on worker 0 between barriers, then
+// runs any small levels that follow on this same goroutine. The other
+// workers are parked on the end-of-step barrier for the whole call, so
+// the serial levels need no barrier of their own and cannot split the
+// cohort: whatever e.stop/e.dir/e.steps they leave behind is published
+// by that one barrier exactly as a single level's would be.
 func (e *Engine) finishStep(step uint32, maxSteps int, m *trace.StepMetrics) {
+	e.closeLevel(step, maxSteps, m)
+	e.serialLevels(maxSteps)
+}
+
+// closeLevel aggregates a level's metrics, swaps frontiers, picks the
+// next direction and decides termination. It runs with the engine to
+// itself: on worker 0 between barriers, or on the serial fast path.
+func (e *Engine) closeLevel(step uint32, maxSteps int, m *trace.StepMetrics) {
 	bu := e.dir == DirBottomUp
+	binned := !bu && !m.Serial && e.cfg.Scheme != SchemeSinglePhase
 	for _, st := range e.ws {
 		m.Edges += st.edges
 		m.NewVertices += st.appends
-		if !bu && e.cfg.Scheme != SchemeSinglePhase {
+		if binned {
 			m.PBVEntries += st.bins.Entries()
 		}
 		st.edges, st.appends = 0, 0
@@ -471,7 +508,7 @@ func (e *Engine) finishStep(step uint32, maxSteps int, m *trace.StepMetrics) {
 	e.steps = int(step)
 
 	if e.runTrace != nil {
-		if !bu && e.p2Layout != nil && e.cfg.Scheme != SchemeSinglePhase {
+		if binned && e.p2Layout != nil {
 			if e.cfg.Scheme == SchemeLoadBalanced {
 				m.SharedBins = e.p2Layout.SharedBins(e.cfg.Sockets)
 			}
@@ -503,7 +540,8 @@ func (e *Engine) finishStep(step uint32, maxSteps int, m *trace.StepMetrics) {
 	if e.cfg.StepHook != nil {
 		// Exclusive window: only worker 0 runs here, between barriers,
 		// so a panicking hook unwinds through the same poison-the-
-		// barrier path as any other worker-0 crash.
+		// barrier path as any other worker-0 crash (in the prologue,
+		// through par.Run's recovery directly).
 		e.cfg.StepHook(int(step))
 	}
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"fastbfs/graph"
@@ -32,6 +33,12 @@ func testGraphs(tb testing.TB) map[string]*graph.Graph {
 	return gs
 }
 
+// serialBounds are the fast-path settings the parity matrices run under:
+// off (every level on the cohort — most test graphs are small enough to
+// fall entirely under the shipped bound, so without this row the PBV
+// path would lose its coverage), the shipped bound, and always on.
+var serialBounds = []int64{0, serialLevelWork, math.MaxInt64}
+
 func sameDepths(t *testing.T, g *graph.Graph, want, got *Result, label string) {
 	t.Helper()
 	for v := 0; v < g.NumVertices(); v++ {
@@ -43,8 +50,8 @@ func sameDepths(t *testing.T, g *graph.Graph, want, got *Result, label string) {
 }
 
 // TestEngineMatchesSerial runs every (VIS, scheme, encoding, workers,
-// sockets) combination on every test graph and demands exact depth
-// equality with the serial reference.
+// sockets, fast-path bound) combination on every test graph and demands
+// exact depth equality with the serial reference.
 func TestEngineMatchesSerial(t *testing.T) {
 	for name, g := range testGraphs(t) {
 		ref, err := SerialBFS(g, 0)
@@ -72,13 +79,20 @@ func TestEngineMatchesSerial(t *testing.T) {
 							if err != nil {
 								t.Fatalf("%s: %v", label, err)
 							}
-							res, err := e.Run(0)
-							if err != nil {
-								t.Fatalf("%s: %v", label, err)
-							}
-							sameDepths(t, g, ref, res, label)
-							if res.Visited != ref.Visited {
-								t.Fatalf("%s: visited %d, want %d", label, res.Visited, ref.Visited)
+							for _, bound := range serialBounds {
+								label := fmt.Sprintf("%s/serial<%d", label, bound)
+								e.serialBelow = bound
+								res, err := e.Run(0)
+								if err != nil {
+									t.Fatalf("%s: %v", label, err)
+								}
+								sameDepths(t, g, ref, res, label)
+								if res.Visited != ref.Visited {
+									t.Fatalf("%s: visited %d, want %d", label, res.Visited, ref.Visited)
+								}
+								if res.Steps != ref.Steps {
+									t.Fatalf("%s: %d steps, want %d", label, res.Steps, ref.Steps)
+								}
 							}
 						}
 					}

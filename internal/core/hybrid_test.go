@@ -86,8 +86,9 @@ func checkParents(t *testing.T, g *graph.Graph, res *Result, source uint32, labe
 
 // TestHybridMatchesSerial demands exact depth equality with the serial
 // reference and valid parents for hybrid runs across graphs, VIS kinds,
-// worker counts and α corners — including forced bottom-up (α=+Inf,
-// switch at level 2) and never-switch (α→0⁺, pure top-down).
+// worker counts, fast-path bounds and α corners — including forced
+// bottom-up (α=+Inf, switch at level 2) and never-switch (α→0⁺, pure
+// top-down).
 func TestHybridMatchesSerial(t *testing.T) {
 	alphas := []struct {
 		name        string
@@ -98,6 +99,8 @@ func TestHybridMatchesSerial(t *testing.T) {
 		// n/β to zero, so every later level stays bottom-up.
 		{"forced", math.Inf(1), math.Inf(1)},
 		{"never", 1e-12, 0},
+		// Hybrid off: the same graph shapes through the plain engine.
+		{"off", 0, 0},
 	}
 	for name, g := range hybridGraphs(t) {
 		ref, err := SerialBFS(g, 0)
@@ -112,43 +115,47 @@ func TestHybridMatchesSerial(t *testing.T) {
 						Workers: workers, VIS: vis,
 						Scheme: SchemeLoadBalanced, Rearrange: true,
 						CacheBytes: 1 << 12, // tiny LLC: forces N_VIS > 1
-						Hybrid:     true, Alpha: a.alpha, Beta: a.beta,
+						Hybrid:     a.name != "off", Alpha: a.alpha, Beta: a.beta,
 						InAdj: inAdjFor(name, g),
 					}
 					e, err := New(g, cfg)
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}
-					res, err := e.Run(0)
-					if err != nil {
-						t.Fatalf("%s: %v", label, err)
-					}
-					sameDepths(t, g, ref, res, label)
-					checkParents(t, g, res, 0, label)
-					if res.Visited != ref.Visited {
-						t.Fatalf("%s: visited %d, want %d", label, res.Visited, ref.Visited)
-					}
-					if len(res.Directions) != res.Steps {
-						t.Fatalf("%s: %d directions for %d steps", label, len(res.Directions), res.Steps)
-					}
-					switch a.name {
-					case "never":
-						for lvl, d := range res.Directions {
-							if d != DirTopDown {
-								t.Fatalf("%s: level %d went bottom-up with α→0", label, lvl+1)
+					for _, bound := range serialBounds {
+						label := fmt.Sprintf("%s/serial<%d", label, bound)
+						e.serialBelow = bound
+						res, err := e.Run(0)
+						if err != nil {
+							t.Fatalf("%s: %v", label, err)
+						}
+						sameDepths(t, g, ref, res, label)
+						checkParents(t, g, res, 0, label)
+						if res.Visited != ref.Visited {
+							t.Fatalf("%s: visited %d, want %d", label, res.Visited, ref.Visited)
+						}
+						if cfg.Hybrid && len(res.Directions) != res.Steps {
+							t.Fatalf("%s: %d directions for %d steps", label, len(res.Directions), res.Steps)
+						}
+						switch a.name {
+						case "never":
+							for lvl, d := range res.Directions {
+								if d != DirTopDown {
+									t.Fatalf("%s: level %d went bottom-up with α→0", label, lvl+1)
+								}
 							}
-						}
-					case "forced":
-						if res.Directions[0] != DirTopDown {
-							t.Fatalf("%s: level 1 must be top-down", label)
-						}
-						// The last level's frontier can have zero out-degree,
-						// in which case scout=0 fails the strict m_f > m_u/α
-						// test even at α=+Inf; all interior levels must flip.
-						for lvl := 1; lvl < len(res.Directions)-1; lvl++ {
-							if res.Directions[lvl] != DirBottomUp {
-								t.Fatalf("%s: α=+Inf level %d not bottom-up (%s)",
-									label, lvl+1, DirectionString(res.Directions))
+						case "forced":
+							if res.Directions[0] != DirTopDown {
+								t.Fatalf("%s: level 1 must be top-down", label)
+							}
+							// The last level's frontier can have zero out-degree,
+							// in which case scout=0 fails the strict m_f > m_u/α
+							// test even at α=+Inf; all interior levels must flip.
+							for lvl := 1; lvl < len(res.Directions)-1; lvl++ {
+								if res.Directions[lvl] != DirBottomUp {
+									t.Fatalf("%s: α=+Inf level %d not bottom-up (%s)",
+										label, lvl+1, DirectionString(res.Directions))
+								}
 							}
 						}
 					}

@@ -2,13 +2,141 @@ package core
 
 import (
 	"sync/atomic"
+	"time"
 
 	"fastbfs/internal/numa"
 	"fastbfs/internal/par"
 	"fastbfs/internal/pbv"
+	"fastbfs/internal/trace"
 )
 
 const cacheLine = 64
+
+// serialLevelWork bounds the small-frontier fast path: a top-down level
+// whose frontier holds fewer than this many vertices and fewer than this
+// many out-edges is expanded by serialLevels instead of by the cohort.
+//
+// It is a constant, not a knob: it compares two costs of this code, not
+// a property of a graph. Measured on the 2-vCPU seed host (go1.24,
+// BenchmarkBarrier in internal/par; BenchmarkEmptyLevel and
+// BenchmarkSmallLevel here; -cpu 1,2,4, the last oversubscribing the
+// two cores):
+//
+//	barrier round, nothing between rounds   0.02 / 0.25 / 0.65 us
+//	cohort level, empty (path graph)        0.6  / 2.4  / 5.0  us
+//	cohort level, ~2K edges (grid)          33   / 42   / 39   us
+//	fast-path level, empty / ~2K edges      0.04 / 15.5 us
+//	cohort cost per edge (W=1), c_p         10 ns (R-MAT) .. 16 ns (grid)
+//	fast-path cost per edge, c_s            3 ns (R-MAT) .. 8 ns (grid)
+//
+// What that settles: a ~2K-edge level is 18-27 us cheaper on the fast
+// path, and at one or two workers the fast path wins a level of any
+// size (c_s <= c_p/2), so on this host every bound from a few K edges up
+// measures the same and the measurements do not pick one. 16K is the low
+// end of the 16-32K order the design expected, kept low because a cohort
+// that does scale (c_p/W < c_s) should get the big levels back.
+//
+// Where that hand-back belongs is NOT measured. A W-worker cohort that
+// scaled perfectly would beat the fast path above F/(c_s - c_p/W) edges,
+// F being the cohort's fixed cost per level; with W = 8 and a guessed
+// F of 20-40 us that is 3K-23K edges. It is an extrapolation from the
+// per-edge costs above: the bound is unverified above two workers and
+// no benchmark workload brackets the crossover. Run BenchmarkSmallLevel
+// on a wider host before trusting or moving it.
+const serialLevelWork = 16 << 10
+
+// frontierIsSmall reports whether expanding e.cur is less work than
+// e.serialBelow. The out-degree sum is only computed once the vertex
+// count is under the bound, and the scan stops as soon as it is not.
+func (e *Engine) frontierIsSmall() bool {
+	if e.cur.Total() >= e.serialBelow {
+		return false
+	}
+	var work int64
+	for _, arr := range e.cur.Arrays {
+		for _, u := range arr {
+			work += int64(e.g.Offsets[u+1] - e.g.Offsets[u])
+		}
+		if work >= e.serialBelow {
+			return false
+		}
+	}
+	return true
+}
+
+// serialLevels is the small-frontier fast path: it expands consecutive
+// top-down levels on the calling goroutine, straight from the current
+// frontier into next array 0 — no binning, no layouts, no rearrangement,
+// no barrier — for as long as the direction stays top-down and the
+// frontier stays small. Each level is closed by closeLevel, the same
+// bookkeeping a cohort level gets. The caller must have the engine to
+// itself: RunContext before the cohort exists, or worker 0 inside
+// finishStep while the cohort is parked on the end-of-step barrier.
+func (e *Engine) serialLevels(maxSteps int) {
+	for !e.stop && e.dir == DirTopDown && e.frontierIsSmall() {
+		step := uint32(e.steps) + 1
+		m := trace.StepMetrics{Step: int(step), Frontier: e.cur.Total(), Serial: true}
+		var begin time.Time
+		if e.cfg.Instrument {
+			begin = time.Now()
+		}
+		e.expandSerial(e.ws[0], step)
+		if e.cfg.Instrument {
+			m.Phase1 = time.Since(begin) // one phase, as single-phase levels report
+		}
+		e.closeLevel(step, maxSteps, &m)
+	}
+}
+
+// expandSerial is one level of the fast path: Figure 1's loop over the
+// whole current frontier. With no other goroutine on the engine there is
+// no race for visit's protocol to tolerate, so DP alone decides and is
+// read and written with plain accesses — visit's atomic stores are full
+// fences on x86 and were a third of a grid run (7 against 3 ns/edge on
+// BenchmarkSmallLevel/rmat/serial). The VIS structure is only kept in
+// step for the cohort levels that may follow, as the bottom-up kernel
+// does (markClaimed): a set bit must imply a visited vertex, and the
+// exact atomic-bit kind needs the converse too.
+func (e *Engine) expandSerial(st *workerState, depth uint32) {
+	var visWords []uint32
+	if e.visBit != nil {
+		visWords = e.visBit.Words()
+	}
+	next := e.nxt.Arrays[0]
+	for w, arr := range e.cur.Arrays {
+		if e.cfg.Instrument {
+			st.traffic.Add(numa.StructBV, e.topo.SocketOf(w), st.socket, 4*int64(len(arr)))
+		}
+		for _, u := range arr {
+			adj := e.g.Neighbors[e.g.Offsets[u]:e.g.Offsets[u+1]]
+			st.edges += int64(len(adj))
+			if e.cfg.Instrument {
+				st.traffic.Add(numa.StructAdj, e.topo.HomeSocket(u), st.socket,
+					2*cacheLine+4*int64(len(adj)))
+			}
+			for _, v := range adj {
+				if e.dp[v] != INF {
+					continue
+				}
+				e.dp[v] = PackDP(u, depth)
+				e.markClaimed(visWords, int(v>>5), 1<<(v&31))
+				st.appends++
+				if e.cfg.Hybrid {
+					st.nextDeg += int64(e.g.Offsets[v+1] - e.g.Offsets[v]) // m_f, as in visit
+				}
+				if e.cfg.Instrument {
+					if visWords != nil || e.visByte != nil {
+						// One VIS touch per claim, as visit charges it.
+						st.traffic.Add(numa.StructVIS, e.topo.HomeSocket(v), st.socket, 1)
+					}
+					e.chargeVisit(st, v)
+				}
+				next = append(next, v)
+			}
+		}
+	}
+	e.nxt.Arrays[0] = next
+}
 
 // phase1Range computes the global frontier range [lo, hi) a worker must
 // expand this step, per the configured scheme.

@@ -13,7 +13,7 @@ func (rt *RunTrace) WriteCSV(w io.Writer) error {
 	header := []string{
 		"step", "direction", "frontier", "edges", "new_vertices", "pbv_entries",
 		"shared_bins", "phase1_ns", "phase2_ns", "rearrange_ns",
-		"alpha_adj", "alpha_pbv", "alpha_dp", "max_socket_share",
+		"alpha_adj", "alpha_pbv", "alpha_dp", "max_socket_share", "serial",
 	}
 	if err := cw.Write(header); err != nil {
 		return err
@@ -38,6 +38,7 @@ func (rt *RunTrace) WriteCSV(w io.Writer) error {
 			fmt.Sprintf("%.4f", s.AlphaPBV),
 			fmt.Sprintf("%.4f", s.AlphaDP),
 			fmt.Sprintf("%.4f", s.MaxSocketShare),
+			fmt.Sprint(s.Serial),
 		}
 		if err := cw.Write(rec); err != nil {
 			return err

@@ -21,6 +21,7 @@ type StepMetrics struct {
 	SharedBins  int   // bins split across sockets by the division
 	DupAppends  int64 // duplicate next-frontier appends (benign races)
 	BottomUp    bool  // level expanded bottom-up (direction-optimizing)
+	Serial      bool  // level expanded by the engine's small-frontier serial fast path
 
 	Phase1, Phase2, Rearr time.Duration
 
@@ -48,6 +49,7 @@ type RunTrace struct {
 	TotalPBV      int64
 	TotalDup      int64
 	MaxFrontier   int64
+	SerialSteps   int // steps run by the small-frontier serial fast path
 	TimePhase1    time.Duration
 	TimePhase2    time.Duration
 	TimeRearr     time.Duration
@@ -59,6 +61,7 @@ func (rt *RunTrace) Add(m StepMetrics) { rt.Steps = append(rt.Steps, m) }
 // Finish computes the aggregate fields from the recorded steps.
 func (rt *RunTrace) Finish() {
 	rt.TotalEdges, rt.TotalVertices, rt.TotalPBV, rt.TotalDup, rt.MaxFrontier = 0, 0, 0, 0, 0
+	rt.SerialSteps = 0
 	rt.TimePhase1, rt.TimePhase2, rt.TimeRearr = 0, 0, 0
 	for _, s := range rt.Steps {
 		rt.TotalEdges += s.Edges
@@ -67,6 +70,9 @@ func (rt *RunTrace) Finish() {
 		rt.TotalDup += s.DupAppends
 		if s.Frontier > rt.MaxFrontier {
 			rt.MaxFrontier = s.Frontier
+		}
+		if s.Serial {
+			rt.SerialSteps++
 		}
 		rt.TimePhase1 += s.Phase1
 		rt.TimePhase2 += s.Phase2

@@ -11,7 +11,7 @@ import (
 
 func sample() *RunTrace {
 	rt := &RunTrace{}
-	rt.Add(StepMetrics{Step: 1, Frontier: 1, Edges: 8, NewVertices: 7, PBVEntries: 10,
+	rt.Add(StepMetrics{Step: 1, Frontier: 1, Edges: 8, NewVertices: 7, PBVEntries: 10, Serial: true,
 		Phase1: time.Millisecond, Phase2: 2 * time.Millisecond, Rearr: time.Millisecond / 2})
 	rt.Add(StepMetrics{Step: 2, Frontier: 7, Edges: 56, NewVertices: 40, PBVEntries: 60,
 		Phase1: 3 * time.Millisecond, Phase2: 4 * time.Millisecond})
@@ -35,6 +35,9 @@ func TestFinishAggregates(t *testing.T) {
 	}
 	if rt.Depth() != 2 {
 		t.Errorf("Depth = %d", rt.Depth())
+	}
+	if rt.SerialSteps != 1 {
+		t.Errorf("SerialSteps = %d", rt.SerialSteps)
 	}
 	if rt.TimePhase1 != 4*time.Millisecond || rt.TimePhase2 != 6*time.Millisecond {
 		t.Errorf("phase times wrong: %v %v", rt.TimePhase1, rt.TimePhase2)
@@ -92,8 +95,11 @@ func TestWriteCSV(t *testing.T) {
 	if !strings.HasPrefix(lines[0], "step,direction,frontier,edges") {
 		t.Errorf("header wrong: %q", lines[0])
 	}
-	if !strings.HasPrefix(lines[1], "1,T,1,8,7,10,") {
+	if !strings.HasPrefix(lines[1], "1,T,1,8,7,10,") || !strings.HasSuffix(lines[1], ",true") {
 		t.Errorf("first row wrong: %q", lines[1])
+	}
+	if !strings.HasSuffix(lines[0], ",serial") || !strings.HasSuffix(lines[2], ",false") {
+		t.Errorf("serial column wrong:\n%s", buf.String())
 	}
 }
 
