@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -42,6 +43,10 @@ const (
 type breaker struct {
 	threshold int           // consecutive failures to trip; <= 0 disables
 	cooldown  time.Duration // open → half-open delay
+
+	// tripped mirrors state != closed (written under mu, read lock-free)
+	// so that probeDue costs the cache-hit path one atomic load.
+	tripped atomic.Bool
 
 	mu          sync.Mutex
 	state       string
@@ -90,6 +95,27 @@ func (b *breaker) allow() (ok, probe bool, retryAfter time.Duration) {
 	}
 }
 
+// probeDue reports that a half-open probe is there to be claimed. It is
+// for the cache-hit path, which answers without calling allow: a hit that
+// sees true falls through to the flight path and runs as the probe
+// (allow claims it), or a graph whose traffic is all hits would stay open
+// for ever. While the breaker is closed it is one atomic load, no lock.
+func (b *breaker) probeDue() bool {
+	if !b.tripped.Load() {
+		return false
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	switch {
+	case b.forced:
+		return false // quarantined: no query outcome can reclose it
+	case b.state == BreakerOpen:
+		return time.Since(b.openedAt) >= b.cooldown
+	default:
+		return b.state == BreakerHalfOpen && !b.probing
+	}
+}
+
 // onSuccess records a completed traversal: it resets the failure streak
 // and, after a successful half-open probe, recloses the breaker.
 func (b *breaker) onSuccess(probe bool) {
@@ -105,6 +131,7 @@ func (b *breaker) onSuccess(probe bool) {
 		b.state = BreakerClosed
 		b.consecutive = 0
 		b.probing = false
+		b.tripped.Store(false)
 	}
 	// Open: a straggler from before the trip; cooldown governs.
 }
@@ -170,11 +197,13 @@ func (b *breaker) clearForced() {
 	b.state = BreakerClosed
 	b.consecutive = 0
 	b.probing = false
+	b.tripped.Store(false)
 }
 
 // trip opens the breaker; callers hold b.mu.
 func (b *breaker) trip() {
 	b.state = BreakerOpen
+	b.tripped.Store(true)
 	b.openedAt = time.Now()
 	b.consecutive = 0
 	b.probing = false

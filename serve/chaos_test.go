@@ -274,6 +274,74 @@ func TestBreakerTripsAndRecovers(t *testing.T) {
 	}
 }
 
+// TestBreakerProbeFromCacheHits is the regression test for the breaker
+// liveness bug: cache hits used to return before the breaker was ever
+// consulted, so a tripped graph whose traffic was all hits never claimed
+// its half-open probe and stayed not-ready for ever. Trip the breaker,
+// wait out the cooldown, send only cached sources, expect ready.
+func TestBreakerProbeFromCacheHits(t *testing.T) {
+	g := testGraph(t)
+	plan := &faultinject.Plan{
+		Seed: 1,
+		Rules: map[faultinject.Site]faultinject.Rule{
+			faultinject.SiteEngineStep: {FaultProb: 1, Panic: true},
+		},
+	}
+	plan.SetEnabled(false)
+	s := newTestService(t, g, Config{
+		BatchThreshold:   100, // force the per-engine path
+		BreakerThreshold: 2,
+		BreakerCooldown:  50 * time.Millisecond,
+		Injector:         plan,
+	})
+	ctx := context.Background()
+	cached := []uint32{1, 2, 3}
+	for _, src := range cached {
+		if _, err := s.Query(ctx, Request{Graph: "g", Source: src}); err != nil {
+			t.Fatalf("warming source %d: %v", src, err)
+		}
+	}
+	plan.SetEnabled(true)
+	for src := uint32(10); src < 12; src++ {
+		if _, err := s.Query(ctx, Request{Graph: "g", Source: src}); !errors.Is(err, ErrEngineFault) {
+			t.Fatalf("source %d: err = %v, want ErrEngineFault", src, err)
+		}
+	}
+	plan.SetEnabled(false)
+	if rs := s.Ready(); rs.Ready || rs.Graphs[0].Breaker != BreakerOpen {
+		t.Fatalf("breaker did not trip: %+v", rs)
+	}
+	// Still cooling down: hits are answered from the cache, as before,
+	// and claim nothing.
+	if resp, err := s.Query(ctx, Request{Graph: "g", Source: cached[0]}); err != nil || !resp.Cached {
+		t.Fatalf("hit while the breaker cools down: resp %+v, err %v", resp, err)
+	}
+	for s.Ready().Graphs[0].Breaker == BreakerOpen {
+		time.Sleep(time.Millisecond) // wait out the cooldown
+	}
+	// Nothing but cached sources from here on. The first one runs as the
+	// probe (a real traversal, so not Cached) and recloses the breaker.
+	resp, err := s.Query(ctx, Request{Graph: "g", Source: cached[1]})
+	if err != nil {
+		t.Fatalf("probe from a cached source: %v", err)
+	}
+	if resp.Cached {
+		t.Error("the half-open probe was answered from the cache: it proves nothing about the engine")
+	}
+	if rs := s.Ready(); !rs.Ready {
+		t.Fatalf("all-hit traffic never reclosed the breaker: %+v", rs)
+	}
+	hits := s.Stats().CacheHits
+	for _, src := range cached {
+		if resp, err := s.Query(ctx, Request{Graph: "g", Source: src}); err != nil || !resp.Cached {
+			t.Fatalf("hit on source %d after recovery: resp %+v, err %v", src, resp, err)
+		}
+	}
+	if got := s.Stats().CacheHits - hits; got != int64(len(cached)) {
+		t.Errorf("cache hits after recovery = %d, want %d", got, len(cached))
+	}
+}
+
 // stallInjector stalls the first engine step it sees for a fixed
 // duration, then goes quiet — a deterministic stand-in for a wedged
 // traversal.

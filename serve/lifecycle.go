@@ -7,8 +7,8 @@
 // only a fully-decoded graph is swapped into the serving table, under
 // the service lock, as a single map-pointer update. Queries admitted
 // against a replaced graph finish on the old state — its engines,
-// cache and breaker stay reachable from their dispatcher until the
-// last flight resolves, then the whole object graph is collected.
+// cache and breaker stay reachable from its flights and their runs until
+// the last one resolves, then the whole object graph is collected.
 package serve
 
 import (

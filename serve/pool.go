@@ -1,12 +1,15 @@
 package serve
 
 import (
-	"context"
+	"errors"
 	"sync"
 
 	"fastbfs/bfs"
 	"fastbfs/graph"
 )
+
+// ErrPoolExhausted is Acquire's answer when every engine is checked out.
+var ErrPoolExhausted = errors.New("serve: engine pool exhausted")
 
 // EnginePool hands out up to size reusable bfs.Engines over one graph.
 // Engines are built lazily — a service holding many graphs only pays
@@ -14,53 +17,46 @@ import (
 // returned engines are reused in LIFO order (warmest buffers first).
 // The pool leans on the bfs package's engine-reuse contract: every Run
 // fully resets engine state, so a pooled engine is indistinguishable
-// from a fresh one.
+// from a fresh one. It never blocks and does not count who is busy: the
+// service's scheduler does (graphState.running), and never over-asks.
 type EnginePool struct {
 	g    *graph.Graph
 	opts bfs.Options
 	size int
 
 	mu      sync.Mutex
-	created int
-	free    chan *bfs.Engine // buffered to size; Release never blocks
+	created int           // engines in existence, idle or checked out
+	idle    []*bfs.Engine // stack: Release pushes, Acquire pops
 }
 
 // NewEnginePool builds an empty pool of the given capacity (min 1).
 func NewEnginePool(g *graph.Graph, opts bfs.Options, size int) *EnginePool {
-	if size < 1 {
-		size = 1
-	}
-	return &EnginePool{g: g, opts: opts, size: size, free: make(chan *bfs.Engine, size)}
+	return &EnginePool{g: g, opts: opts, size: max(size, 1)}
 }
 
-// Acquire returns a free engine, building one if the pool is below
-// capacity, or blocks until a Release or ctx.Done().
-func (p *EnginePool) Acquire(ctx context.Context) (*bfs.Engine, error) {
-	select {
-	case e := <-p.free:
-		return e, nil
-	default:
-	}
+// Acquire returns the most recently released engine, or builds one if
+// the pool is below capacity, or fails with ErrPoolExhausted.
+func (p *EnginePool) Acquire() (*bfs.Engine, error) {
 	p.mu.Lock()
-	if p.created < p.size {
-		p.created++
+	if n := len(p.idle); n > 0 {
+		e := p.idle[n-1]
+		p.idle[n-1] = nil
+		p.idle = p.idle[:n-1]
 		p.mu.Unlock()
-		e, err := bfs.NewEngine(p.g, p.opts)
-		if err != nil {
-			p.mu.Lock()
-			p.created--
-			p.mu.Unlock()
-			return nil, err
-		}
 		return e, nil
 	}
+	if p.created == p.size {
+		p.mu.Unlock()
+		return nil, ErrPoolExhausted
+	}
+	p.created++
 	p.mu.Unlock()
-	select {
-	case e := <-p.free:
-		return e, nil
-	case <-ctx.Done():
-		return nil, ctx.Err()
+	e, err := bfs.NewEngine(p.g, p.opts) // outside the lock: allocates per-vertex state
+	if err != nil {
+		p.Discard(nil) // it never came to be: give its capacity back
+		return nil, err
 	}
+	return e, nil
 }
 
 // Discard retires an engine obtained from Acquire instead of returning
@@ -76,17 +72,18 @@ func (p *EnginePool) Discard(e *bfs.Engine) {
 
 // Release returns an engine obtained from Acquire.
 func (p *EnginePool) Release(e *bfs.Engine) {
-	select {
-	case p.free <- e:
-	default:
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if len(p.idle) == p.created {
 		panic("serve: EnginePool.Release without matching Acquire")
 	}
+	p.idle = append(p.idle, e)
 }
 
-// Size is the pool capacity; Created is how many engines exist so far.
+// Size is the pool capacity.
 func (p *EnginePool) Size() int { return p.size }
 
-// Created reports how many engines have been built.
+// Created reports how many engines exist (idle or checked out).
 func (p *EnginePool) Created() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()

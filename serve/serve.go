@@ -21,25 +21,26 @@
 //     until a cooldown admits a half-open probe. A traversal that
 //     panics mid-run is recovered, its waiters get a typed error, and
 //     the poisoned engine is quarantined (retired from the pool and
-//     lazily rebuilt). A watchdog hard-cancels any dispatched round
-//     that overruns a wall-clock multiple of its deadline budget so
-//     waiters never hang on a wedged traversal.
+//     lazily rebuilt). A watchdog hard-cancels any run that overruns
+//     a wall-clock multiple of its deadline budget so waiters never
+//     hang on a wedged traversal.
 //   - Result cache + singleflight. Completed traversals are kept in a
 //     bounded per-graph LRU keyed by source (engine options are fixed
 //     per service, so (graph, source, options) reduces to (graph,
 //     source)); concurrent queries for the same source coalesce onto
 //     one in-flight traversal.
-//   - Batching scheduler. Queued sources drain through a per-graph
-//     dispatcher. When a dispatch round holds at least BatchThreshold
-//     distinct sources they run as ONE bit-parallel multi-source sweep
-//     (internal/msbfs, up to 64 sources per sweep); smaller rounds fall
-//     back to per-source runs on pooled engines. Batching is
-//     load-adaptive: while one round executes, arrivals accumulate, so
-//     aggregate throughput grows with offered load instead of
-//     collapsing.
-//   - Engine pool. Per graph, up to PoolSize reusable bfs.Engines
-//     (lazily built); the pool relies on the bfs package's documented
-//     engine-reuse contract and ErrEngineBusy guard.
+//   - Slot scheduler. Each graph has PoolSize engine slots and a FIFO
+//     queue. A queued flight starts the moment a slot is free, under
+//     its own context, deadline and watchdog; its completion frees the
+//     slot and starts the next (no dispatcher goroutine, no rounds).
+//     Once the queue holds BatchThreshold distinct sources no further
+//     single starts, and when the running ones finish its head runs as
+//     ONE bit-parallel multi-source sweep (internal/msbfs, up to 64
+//     sources) with nothing beside it. Batching is load-adaptive:
+//     arrivals accumulate while every slot is busy or a sweep runs.
+//   - Engine pool. Per graph, a LIFO stack of up to PoolSize reusable
+//     bfs.Engines (lazily built); the pool relies on the bfs package's
+//     documented engine-reuse contract and ErrEngineBusy guard.
 //   - Graph lifecycle. Graphs can be loaded and unloaded while serving
 //     (atomic pointer swap; see lifecycle.go), under a resident-bytes
 //     budget that evicts idle graphs LRU-first. /readyz reflects
@@ -85,8 +86,8 @@ var (
 	ErrUnknownGraph = errors.New("serve: unknown graph")
 	// ErrBadRequest rejects a malformed query (e.g. source out of range).
 	ErrBadRequest = errors.New("serve: bad request")
-	// ErrWatchdog fails every waiter of a dispatched round that overran
-	// the hard wall-clock multiple of its deadline budget.
+	// ErrWatchdog fails every waiter of a run (a single or a sweep) that
+	// overran the hard wall-clock multiple of its deadline budget.
 	ErrWatchdog = errors.New("serve: watchdog: traversal exceeded hard deadline")
 	// ErrEngineFault is the sentinel matched by *EngineFaultError.
 	ErrEngineFault = errors.New("serve: engine fault")
@@ -121,13 +122,13 @@ type Config struct {
 	// MaxBatch caps sources per multi-source sweep (default and max
 	// msbfs.MaxLanes = 64).
 	MaxBatch int
-	// BatchThreshold is the minimum dispatch-round size that uses the
-	// bit-parallel sweep instead of per-source engines (default 4).
+	// BatchThreshold is the minimum number of queued sources that run as
+	// one bit-parallel sweep instead of per-source engines (default 4).
 	BatchThreshold int
-	// BatchLinger, when positive, makes the dispatcher wait once per
-	// round for more sources to arrive before running an undersized
-	// batch. Zero (the default) favors latency: batching then emerges
-	// purely from arrivals during the previous round's execution.
+	// BatchLinger, when positive, makes the scheduler hold a queue shorter
+	// than MaxBatch until its head has waited this long, so more sources
+	// can arrive. Zero (the default) favors latency: batching then emerges
+	// purely from arrivals while every slot is busy or a sweep runs.
 	BatchLinger time.Duration
 	// CacheEntries is the per-graph LRU capacity in traversals (each
 	// entry holds an 8-byte word per vertex). Default 32; negative
@@ -152,8 +153,8 @@ type Config struct {
 	// BreakerCooldown is how long an open breaker rejects queries with
 	// a typed 503 before admitting one half-open probe (default 1s).
 	BreakerCooldown time.Duration
-	// WatchdogMult hard-cancels a dispatched round still running after
-	// WatchdogMult × its deadline budget (the round's merged deadline,
+	// WatchdogMult hard-cancels a run still going after WatchdogMult ×
+	// its deadline budget (the flight's deadline — a sweep's latest —
 	// or DefaultTimeout when it has none) and releases its waiters with
 	// ErrWatchdog (default 4; negative disables).
 	WatchdogMult int
@@ -289,14 +290,14 @@ type Service struct {
 	resident       int64 // summed graph payload bytes
 	residentMapped int64 // portion of resident backed by file mappings
 	draining       bool
-	wg             sync.WaitGroup // live dispatcher goroutines
+	wg             sync.WaitGroup // unresolved flights + their runs, background loops
 
 	stats stats
 }
 
 // graphState is one resident graph plus its pool, cache, breaker and
-// scheduler state. pending/flights/dispatching/lastUsed are guarded by
-// Service.mu.
+// scheduler state. The scheduler fields at the bottom and lastUsed are
+// guarded by Service.mu.
 type graphState struct {
 	name     string
 	g        *graph.Graph
@@ -311,8 +312,8 @@ type graphState struct {
 	// profile (nil = untuned, pure service defaults); opts is the
 	// service options with the profile applied — the pool and the
 	// batched sweeps both run on it, so single-source and multi-source
-	// paths agree on every knob. batchWidth clamps dispatch rounds to
-	// the tuned MS-BFS lane count. qEdges/qNanos accumulate traversed
+	// paths agree on every knob. batchWidth clamps sweeps to the tuned
+	// MS-BFS lane count. qEdges/qNanos accumulate traversed
 	// edges and busy nanos across completed traversals; their quotient
 	// is the measured MTEPS /stats reports next to the prediction.
 	profile    *tune.Profile
@@ -341,11 +342,12 @@ type graphState struct {
 	scrubQuarantined bool
 	scrubErr         string
 
-	lastUsed    time.Time
-	flights     map[uint32]*flight // in-flight + queued, by source
-	pending     []*flight          // queued, dispatch order
-	dispatching bool
-	lingered    bool
+	lastUsed  time.Time
+	flights   map[uint32]*flight // in-flight + queued, by source
+	pending   []*flight          // queued, FIFO
+	running   int                // single-source runs, each holding one of the pool's slots
+	sweeping  bool               // a multi-source sweep is running, alone
+	lingering bool               // the one-shot BatchLinger timer is armed
 }
 
 // flight is one traversal that one or more queries wait on. All fields
@@ -357,7 +359,7 @@ type flight struct {
 	done     chan struct{}
 
 	waiters  int  // attached callers still waiting
-	started  bool // snapshot taken by the dispatcher; past shedding
+	started  bool // handed to a run by the scheduler; past shedding
 	resolved bool // outcome published; resolve is idempotent
 	probe    bool // this flight is its breaker's half-open probe
 
@@ -428,7 +430,7 @@ func (s *Service) AddGraph(name string, g *graph.Graph) error {
 // any point either recovers the old table or the new one, never an
 // acknowledged-then-forgotten load. A non-nil prof is the graph's
 // tuning profile: the engine pool is built with it applied, and the
-// dispatcher clamps batch rounds to its lane width.
+// scheduler clamps sweeps to its lane width.
 func (s *Service) registerGraphLocked(name string, g *graph.Graph, replace bool, path string, spec *GraphSpec, prof *tune.Profile) error {
 	if s.draining {
 		return ErrDraining
@@ -517,8 +519,8 @@ func (s *Service) retireLocked(gs *graphState) {
 func (s *Service) evictOneLocked(exclude string) bool {
 	var victim *graphState
 	for _, gs := range s.graphs {
-		if gs.name == exclude || len(gs.flights) > 0 || gs.dispatching {
-			continue
+		if gs.name == exclude || len(gs.flights) > 0 || gs.running > 0 || gs.sweeping {
+			continue // a watchdog-resolved flight may still be inside its engine
 		}
 		if victim == nil || gs.lastUsed.Before(victim.lastUsed) {
 			victim = gs
@@ -681,7 +683,9 @@ func (s *Service) Query(ctx context.Context, req Request) (*Response, error) {
 			}
 		}
 
-		if tr, ok := gs.cache.get(req.Source); ok {
+		// A hit skips the breaker unless its half-open probe is due: then
+		// it runs as a real flight, or all-hit traffic would never reclose.
+		if tr, ok := gs.cache.get(req.Source); ok && !gs.breaker.probeDue() {
 			s.stats.cacheHits.Add(1)
 			return buildResponse(gs, req, tr, true)
 		}
@@ -719,16 +723,13 @@ func (s *Service) Query(ctx context.Context, req Request) (*Response, error) {
 		gs.flights[req.Source] = f
 		gs.pending = append(gs.pending, f)
 		s.queued++
-		if !gs.dispatching {
-			gs.dispatching = true
-			s.wg.Add(1)
-			go s.dispatch(gs)
-		}
+		s.wg.Add(1) // released when the flight's run ends, or it resolves still queued
+		s.scheduleLocked(gs)
 	} else {
 		s.stats.coalesced.Add(1)
 		f.waiters++
 		// Extend the flight's deadline to cover this waiter too; the
-		// dispatcher reads it under s.mu when the flight starts, so the
+		// scheduler reads it under s.mu when the flight starts, so the
 		// extension holds for flights still queued.
 		if dl, ok := ctx.Deadline(); !f.deadline.IsZero() && (!ok || dl.After(f.deadline)) {
 			if ok {
@@ -759,7 +760,7 @@ func (s *Service) Query(ctx context.Context, req Request) (*Response, error) {
 
 // abandon detaches one waiter whose context died. A queued flight whose
 // last waiter leaves is resolved on the spot, releasing its ticket and
-// its slot in the dispatch queue.
+// its place in the queue.
 func (s *Service) abandon(gs *graphState, f *flight) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -778,10 +779,11 @@ func (s *Service) abandon(gs *graphState, f *flight) {
 	}
 	s.stats.abandoned.Add(1)
 	s.resolveLocked(gs, f, nil, context.Canceled)
+	s.scheduleLocked(gs) // a shorter queue may no longer be waiting to sweep
 }
 
 // shedOldestLocked implements the CoDel-style drop decision: find the
-// oldest queued (not yet dispatched) flight service-wide and, if its
+// oldest queued (not yet started) flight service-wide and, if its
 // sojourn exceeds ShedTarget, resolve it with ErrShed to make room.
 // Returns whether a slot was freed.
 func (s *Service) shedOldestLocked() bool {
@@ -809,111 +811,117 @@ func (s *Service) shedOldestLocked() bool {
 	return true
 }
 
-// dispatch drains gs.pending in rounds until it is empty, then exits.
-// Exactly one dispatcher runs per graph at a time.
-func (s *Service) dispatch(gs *graphState) {
-	defer s.wg.Done()
-	for {
-		s.mu.Lock()
-		if len(gs.pending) == 0 {
-			gs.dispatching = false
-			s.mu.Unlock()
+// scheduleLocked is the whole scheduler: it starts whatever gs.pending
+// and the free engine slots allow, called under s.mu from the events that
+// can change that — a flight enqueued or abandoned, a run finished, the
+// BatchLinger timer fired. Singles start FIFO while a slot is free; a
+// queue of BatchThreshold sources waits for them and runs as one sweep.
+func (s *Service) scheduleLocked(gs *graphState) {
+	now := time.Now()
+	for len(gs.pending) > 0 && !gs.sweeping {
+		if wait := s.cfg.BatchLinger - now.Sub(gs.pending[0].enqueued); wait > 0 && len(gs.pending) < s.cfg.MaxBatch {
+			if !gs.lingering {
+				gs.lingering = true
+				time.AfterFunc(wait, func() {
+					s.mu.Lock()
+					gs.lingering = false
+					s.scheduleLocked(gs)
+					s.mu.Unlock()
+				})
+			}
 			return
 		}
-		// Optionally linger once per round to let a batch accumulate.
-		if lin := s.cfg.BatchLinger; lin > 0 && !gs.lingered && len(gs.pending) < s.cfg.MaxBatch {
-			gs.lingered = true
-			s.mu.Unlock()
-			select {
-			case <-time.After(lin):
-			case <-s.baseCtx.Done():
-			}
-			continue
+		k := min(len(gs.pending), gs.batchWidth)
+		sweep := k >= s.cfg.BatchThreshold && k > 1
+		switch {
+		case sweep && gs.running > 0:
+			return // a sweep runs alone: the last single to finish starts it
+		case sweep:
+			gs.sweeping = true
+		case gs.running == gs.pool.Size():
+			return // every slot busy: the next finish reschedules
+		default:
+			k = 1
+			gs.running++
 		}
-		gs.lingered = false
-		width := s.cfg.MaxBatch
-		if gs.batchWidth > 0 && gs.batchWidth < width {
-			width = gs.batchWidth // tuned MS-BFS lane cap for this graph
-		}
-		k := min(len(gs.pending), width)
-		round := append([]*flight(nil), gs.pending[:k]...)
-		gs.pending = append(gs.pending[:0:0], gs.pending[k:]...)
-		// Snapshot each flight's deadline while holding the lock (late
-		// coalescing waiters may still extend queued flights), and merge
-		// them for the batched path: the sweep runs until the last
-		// waiter's deadline; earlier waiters stop waiting on their own.
-		deadlines := make([]time.Time, len(round))
-		deadline, infinite := time.Time{}, false
-		for i, f := range round {
+		run := append([]*flight(nil), gs.pending[:k]...)
+		clear(gs.pending[:k])
+		gs.pending = gs.pending[k:]
+		// The run lasts until its last waiter's deadline (zero = none),
+		// read under the lock: coalescing waiters extend queued flights.
+		deadline := run[0].deadline
+		for _, f := range run {
 			f.started = true
-			deadlines[i] = f.deadline
-			if f.deadline.IsZero() {
-				infinite = true
-			} else if f.deadline.After(deadline) {
+			s.stats.queueWaitNs.Add(int64(now.Sub(f.enqueued)))
+			if !deadline.IsZero() && (f.deadline.IsZero() || f.deadline.After(deadline)) {
 				deadline = f.deadline
 			}
 		}
-		s.mu.Unlock()
-
-		var rctx context.Context
-		var cancel context.CancelFunc
-		if !infinite && !deadline.IsZero() {
-			rctx, cancel = context.WithDeadline(s.baseCtx, deadline)
-		} else {
-			rctx, cancel = context.WithCancel(s.baseCtx)
-		}
-		// Watchdog: a round that overruns a hard multiple of its budget
-		// is cancelled AND force-resolved, so waiters never hang on a
-		// wedged traversal (resolve is idempotent: if the run finishes
-		// later anyway, its late resolve is a no-op).
-		var wd *time.Timer
-		if mult := s.cfg.WatchdogMult; mult > 0 {
-			budget := s.cfg.DefaultTimeout
-			if !infinite && !deadline.IsZero() {
-				if d := time.Until(deadline); d > 0 {
-					budget = d
-				}
-			}
-			wd = time.AfterFunc(time.Duration(mult)*budget, func() {
-				cancel()
-				s.stats.watchdogFired.Add(1)
-				err := fmt.Errorf("%w (budget %v × %d)", ErrWatchdog, budget, mult)
-				for _, f := range round {
-					s.resolve(gs, f, nil, err)
-				}
-			})
-		}
-		if len(round) >= s.cfg.BatchThreshold && len(round) > 1 {
-			s.runBatched(gs, rctx, round)
-		} else {
-			s.runSingles(gs, rctx, round, deadlines)
-		}
-		if wd != nil {
-			wd.Stop()
-		}
-		cancel()
+		s.stats.queueWaits.Add(int64(k))
+		go s.run(gs, run, sweep, deadline)
 	}
 }
 
-// runBatched serves one round as a single bit-parallel sweep. When the
+// run executes one scheduling decision — a single on a pooled engine or
+// a sweep — under its own context and watchdog, then frees the slot and
+// reschedules. A run that overruns a hard multiple of its budget is
+// cancelled AND force-resolved, so waiters never hang on a wedged
+// traversal (resolve is idempotent: a late outcome is dropped); the slot
+// stays taken until the run really unwinds.
+func (s *Service) run(gs *graphState, run []*flight, sweep bool, deadline time.Time) {
+	var ctx context.Context
+	var cancel context.CancelFunc
+	budget := s.cfg.DefaultTimeout
+	if deadline.IsZero() {
+		ctx, cancel = context.WithCancel(s.baseCtx)
+	} else {
+		ctx, cancel = context.WithDeadline(s.baseCtx, deadline)
+		if d := time.Until(deadline); d > 0 {
+			budget = d
+		}
+	}
+	var wd *time.Timer
+	if mult := s.cfg.WatchdogMult; mult > 0 {
+		wd = time.AfterFunc(time.Duration(mult)*budget, func() {
+			cancel()
+			s.stats.watchdogFired.Add(1)
+			s.resolve(gs, run, nil, fmt.Errorf("%w (budget %v × %d)", ErrWatchdog, budget, mult))
+		})
+	}
+	if sweep {
+		s.runBatched(gs, ctx, run)
+	} else {
+		s.runSingle(gs, ctx, run)
+	}
+	if wd != nil {
+		wd.Stop()
+	}
+	cancel()
+	s.mu.Lock()
+	if sweep {
+		gs.sweeping = false
+	} else {
+		gs.running--
+	}
+	s.scheduleLocked(gs)
+	s.mu.Unlock()
+	s.wg.Add(-len(run))
+}
+
+// runBatched serves run as a single bit-parallel sweep. When the
 // service's engine options request hybrid traversal, the sweep is
 // direction-optimizing too: it shares the per-graph cached transpose
 // with the pooled engines (bfs.InAdjacency), so daemon-side batched
 // queries get the same bottom-up win as single-source ones. A panic
-// anywhere in the sweep (injected or real) fails the round with a
-// typed engine fault instead of killing the daemon.
-func (s *Service) runBatched(gs *graphState, ctx context.Context, round []*flight) {
-	sources := make([]uint32, len(round))
-	for i, f := range round {
+// anywhere in the sweep (injected or real) fails the run with a typed
+// engine fault instead of killing the daemon.
+func (s *Service) runBatched(gs *graphState, ctx context.Context, run []*flight) {
+	sources := make([]uint32, len(run))
+	for i, f := range run {
 		sources[i] = f.source
 	}
 	var res *msbfs.Result
-	err := func() (err error) {
-		defer func() {
-			if rec := recover(); rec != nil {
-				err = &par.PanicError{Worker: -1, Value: rec, Stack: debug.Stack()}
-			}
-		}()
+	err := guarded(func() (err error) {
 		if err := s.chaosSweep(); err != nil {
 			return fmt.Errorf("serve: sweep: %w", err)
 		}
@@ -929,90 +937,71 @@ func (s *Service) runBatched(gs *graphState, ctx context.Context, round []*fligh
 			res, err = msbfs.RunContext(ctx, gs.g, sources, s.cfg.Workers)
 		}
 		return err
-	}()
+	})
 	if err != nil {
-		if poisoned(err) {
-			s.stats.panicsRecovered.Add(1)
-			err = &EngineFaultError{Graph: gs.name, Err: err}
-		}
-		for _, f := range round {
-			s.resolve(gs, f, nil, err)
-		}
+		s.resolve(gs, run, nil, err)
 		return
 	}
 	s.stats.sweeps.Add(1)
-	s.stats.batchedQueries.Add(int64(len(round)))
+	s.stats.batchedQueries.Add(int64(len(run)))
 	// Measured-throughput accounting: LaneEdges is the aggregate-TEPS
 	// numerator (what independent per-source runs would have traversed),
 	// so the quotient stays comparable with the model's prediction.
 	gs.qEdges.Add(res.LaneEdges)
 	gs.qNanos.Add(int64(res.Elapsed))
-	perLane := res.Elapsed / time.Duration(len(round))
-	for k, f := range round {
-		s.resolve(gs, f, newLaneTraversal(res, k, perLane), nil)
+	perLane := res.Elapsed / time.Duration(len(run))
+	// Each lane is answered as soon as its own traversal is summarized:
+	// the first callers are on their way back while the last lanes are
+	// still being counted, and find the queue before the next decision.
+	for k := range run {
+		s.resolve(gs, run[k:k+1], newLaneTraversal(res, k, perLane), nil)
 	}
 }
 
-// runSingles serves a small round on pooled engines, one goroutine per
-// flight; the pool bounds actual parallelism. deadlines[i] is flight
-// i's deadline as snapshotted under the service lock at dispatch. An
-// engine whose run dies mid-traversal is quarantined: discarded from
-// the pool (a later acquire builds a fresh one) while its waiters get
-// a typed engine fault.
-func (s *Service) runSingles(gs *graphState, rctx context.Context, round []*flight, deadlines []time.Time) {
-	var wg sync.WaitGroup
-	for i, f := range round {
-		wg.Add(1)
-		go func(f *flight, deadline time.Time) {
-			defer wg.Done()
-			fctx := rctx
-			if !deadline.IsZero() {
-				var cancel context.CancelFunc
-				fctx, cancel = context.WithDeadline(rctx, deadline)
-				defer cancel()
-			}
-			if err := s.chaosAcquire(); err != nil {
-				s.resolve(gs, f, nil, fmt.Errorf("serve: acquiring engine: %w", err))
-				return
-			}
-			e, err := gs.pool.Acquire(fctx)
-			if err != nil {
-				s.resolve(gs, f, nil, err)
-				return
-			}
-			r, err := runGuarded(e, fctx, f.source)
-			var tr *Traversal
-			if err == nil {
-				tr = newEngineTraversal(r)
-				gs.qEdges.Add(r.EdgesTraversed)
-				gs.qNanos.Add(int64(r.Elapsed))
-			}
-			if poisoned(err) {
-				gs.pool.Discard(e)
-				s.stats.panicsRecovered.Add(1)
-				s.stats.enginesRetired.Add(1)
-				err = &EngineFaultError{Graph: gs.name, Err: err}
-			} else {
-				gs.pool.Release(e)
-			}
-			s.stats.engineRuns.Add(1)
-			s.resolve(gs, f, tr, err)
-		}(f, deadlines[i])
+// runSingle serves a one-flight run on a pooled engine; the scheduler
+// has already counted it against the pool's slots, so the acquire never
+// waits. An engine whose run dies mid-traversal is quarantined:
+// discarded from the pool (a later acquire builds a fresh one) while
+// its waiters get a typed engine fault.
+func (s *Service) runSingle(gs *graphState, ctx context.Context, run []*flight) {
+	if err := s.chaosAcquire(); err != nil {
+		s.resolve(gs, run, nil, fmt.Errorf("serve: acquiring engine: %w", err))
+		return
 	}
-	wg.Wait()
+	e, err := gs.pool.Acquire()
+	if err != nil {
+		s.resolve(gs, run, nil, err)
+		return
+	}
+	s.stats.engineRuns.Add(1)
+	var r *bfs.Result
+	err = guarded(func() (err error) { r, err = e.RunContext(ctx, run[0].source); return })
+	var tr *Traversal
+	if err == nil {
+		tr = newEngineTraversal(r) // copies out of engine storage: before Release
+		gs.qEdges.Add(r.EdgesTraversed)
+		gs.qNanos.Add(int64(r.Elapsed))
+	}
+	if poisoned(err) {
+		gs.pool.Discard(e)
+		s.stats.enginesRetired.Add(1)
+	} else {
+		gs.pool.Release(e)
+	}
+	s.resolve(gs, run, tr, err)
 }
 
-// runGuarded runs one traversal, converting any panic that unwinds into
-// this goroutine into a *par.PanicError. (Panics inside the engine's
-// own workers — including injected StepHook crashes — are already
-// recovered by par.Run and arrive as wrapped errors.)
-func runGuarded(e *bfs.Engine, ctx context.Context, source uint32) (r *bfs.Result, err error) {
+// guarded runs one traversal or sweep, converting any panic that unwinds
+// into this goroutine into a *par.PanicError. (Panics inside the
+// engine's own workers — including injected StepHook crashes — are
+// already recovered by par.Run and arrive as wrapped errors.)
+func guarded(fn func() error) (err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			err = &par.PanicError{Worker: -1, Value: rec, Stack: debug.Stack()}
 		}
 	}()
-	return e.RunContext(ctx, source)
+	return fn()
 }
 
 // poisoned reports whether err carries a recovered panic — the signal
@@ -1023,25 +1012,39 @@ func poisoned(err error) bool {
 	return errors.As(err, &pe)
 }
 
-// resolve publishes a flight's outcome: caches successful traversals,
-// retires the flight from the singleflight table and admission queue,
-// and feeds the graph's circuit breaker. It is idempotent — the first
-// caller (dispatcher, watchdog, shedder or abandoner) wins.
-func (s *Service) resolve(gs *graphState, f *flight, tr *Traversal, err error) {
-	if err == nil && tr != nil {
-		gs.cache.put(f.source, tr)
+// resolve publishes one outcome for every flight in run (a single's, one
+// sweep lane's, or a whole run's failure): it caches a successful
+// traversal, then resolves under Service.mu. An error that carries a
+// recovered panic is typed as the graph's engine fault.
+func (s *Service) resolve(gs *graphState, run []*flight, tr *Traversal, err error) {
+	if poisoned(err) {
+		s.stats.panicsRecovered.Add(1)
+		err = &EngineFaultError{Graph: gs.name, Err: err}
+	}
+	if err == nil {
+		for _, f := range run {
+			gs.cache.put(f.source, tr) // before the flight leaves the table
+		}
 	}
 	s.mu.Lock()
-	s.resolveLocked(gs, f, tr, err)
-	s.mu.Unlock()
+	defer s.mu.Unlock()
+	for _, f := range run {
+		s.resolveLocked(gs, f, tr, err)
+	}
 }
 
-// resolveLocked is resolve under Service.mu; see resolve.
+// resolveLocked publishes a flight's outcome under Service.mu: it
+// retires the flight from the singleflight table and admission queue
+// and feeds the graph's circuit breaker. It is idempotent — the first
+// caller (run, watchdog, shedder or abandoner) wins.
 func (s *Service) resolveLocked(gs *graphState, f *flight, tr *Traversal, err error) {
 	if f.resolved {
 		return
 	}
 	f.resolved = true
+	if !f.started {
+		s.wg.Done() // shed or abandoned in the queue: no run will release it
+	}
 	if cur := gs.flights[f.source]; cur == f {
 		delete(gs.flights, f.source)
 	}

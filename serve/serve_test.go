@@ -308,36 +308,43 @@ func TestRequestValidation(t *testing.T) {
 func TestEnginePool(t *testing.T) {
 	g := testGraph(t)
 	p := NewEnginePool(g, bfs.Default(1), 2)
-	ctx := context.Background()
-	e1, err := p.Acquire(ctx)
+	e1, err := p.Acquire()
 	if err != nil {
 		t.Fatal(err)
 	}
-	e2, err := p.Acquire(ctx)
+	e2, err := p.Acquire()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p.Created() != 2 {
 		t.Fatalf("created = %d, want 2", p.Created())
 	}
-	// Pool exhausted: Acquire blocks until Release or ctx expiry.
-	expired, cancel := context.WithTimeout(ctx, 10*time.Millisecond)
-	defer cancel()
-	if _, err := p.Acquire(expired); !errors.Is(err, context.DeadlineExceeded) {
+	// Pool exhausted: Acquire never blocks, it says so.
+	if _, err := p.Acquire(); !errors.Is(err, ErrPoolExhausted) {
 		t.Fatalf("exhausted pool: err = %v", err)
 	}
+	// LIFO: the engine released last (warmest) comes back first.
 	p.Release(e1)
-	e3, err := p.Acquire(ctx)
-	if err != nil {
-		t.Fatal(err)
+	p.Release(e2)
+	if e, _ := p.Acquire(); e != e2 {
+		t.Error("pool did not hand back the most recently released engine")
 	}
-	if e3 != e1 {
-		t.Error("pool did not reuse the released engine")
+	if e, _ := p.Acquire(); e != e1 {
+		t.Error("pool lost the engine released first")
+	}
+	// A discarded engine is rebuilt lazily, within the same capacity.
+	p.Discard(e2)
+	if p.Created() != 1 {
+		t.Fatalf("created = %d after discard, want 1", p.Created())
+	}
+	e3, err := p.Acquire()
+	if err != nil || e3 == e1 || e3 == e2 {
+		t.Fatalf("acquire after discard: engine %p (e1 %p, e2 %p), err %v", e3, e1, e2, err)
 	}
 	if p.Created() != 2 {
-		t.Fatalf("created grew to %d", p.Created())
+		t.Fatalf("created = %d, want 2", p.Created())
 	}
-	p.Release(e2)
+	p.Release(e1)
 	p.Release(e3)
 }
 

@@ -14,6 +14,8 @@ type stats struct {
 	sweeps         atomic.Int64
 	batchedQueries atomic.Int64
 	engineRuns     atomic.Int64
+	queueWaits     atomic.Int64
+	queueWaitNs    atomic.Int64
 
 	breakerRejected atomic.Int64
 	watchdogFired   atomic.Int64
@@ -59,9 +61,17 @@ type StatsSnapshot struct {
 	Sweeps         int64 `json:"sweeps"`
 	BatchedQueries int64 `json:"batched_queries"`
 	EngineRuns     int64 `json:"engine_runs"`
+	// QueueWaits counts the flights the scheduler has started and
+	// QueueWaitNs sums their enqueue-to-start waits (both monotone), so
+	// their quotient over a window is how much of a miss was queueing
+	// for an engine slot or a sweep. EnginesBusy is the per-graph gauge
+	// of single-source runs holding a slot right now (at most PoolSize).
+	QueueWaits  int64          `json:"queue_waits"`
+	QueueWaitNs int64          `json:"queue_wait_ns"`
+	EnginesBusy map[string]int `json:"engines_busy,omitempty"`
 	// Containment: BreakerRejected counts queries failed fast by an open
-	// breaker; WatchdogFired the dispatch rounds hard-cancelled past
-	// their wall-clock budget; PanicsRecovered the traversals that died
+	// breaker; WatchdogFired the runs hard-cancelled past their
+	// wall-clock budget; PanicsRecovered the traversals that died
 	// mid-run and were converted to typed errors; EnginesRetired the
 	// poisoned engines quarantined out of their pools.
 	BreakerRejected int64 `json:"breaker_rejected"`
@@ -129,6 +139,10 @@ func (s *Service) Stats() StatsSnapshot {
 	s.mu.Lock()
 	manifest := s.manifest
 	mapped := s.residentMapped
+	busy := make(map[string]int, len(s.graphs))
+	for name, gs := range s.graphs {
+		busy[name] = gs.running
+	}
 	s.mu.Unlock()
 	snap := StatsSnapshot{
 		Requests:            s.stats.requests.Load(),
@@ -141,6 +155,9 @@ func (s *Service) Stats() StatsSnapshot {
 		Sweeps:              s.stats.sweeps.Load(),
 		BatchedQueries:      s.stats.batchedQueries.Load(),
 		EngineRuns:          s.stats.engineRuns.Load(),
+		QueueWaits:          s.stats.queueWaits.Load(),
+		QueueWaitNs:         s.stats.queueWaitNs.Load(),
+		EnginesBusy:         busy,
 		BreakerRejected:     s.stats.breakerRejected.Load(),
 		WatchdogFired:       s.stats.watchdogFired.Load(),
 		PanicsRecovered:     s.stats.panicsRecovered.Load(),
