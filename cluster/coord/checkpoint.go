@@ -10,11 +10,15 @@ import (
 	"path/filepath"
 )
 
-// Checkpoint is a shard's durable per-round state: everything needed to
-// resume the round protocol after a crash. Resp holds the encoded
-// ExpandResponse of the last processed round, so a coordinator retry of
-// that round after a restart replays the identical bytes — the
+// Checkpoint is a full snapshot of a shard's round state: everything
+// needed to resume the round protocol after a crash. Resp holds the
+// encoded ExpandResponse of the last processed round, so a coordinator
+// retry of that round after a restart replays the identical bytes — the
 // idempotency guarantee survives the crash, not just the process.
+//
+// Shards no longer write snapshots each round; they keep a round log
+// (below) in the same file. A snapshot written by SaveCheckpoint still
+// restores a shard, whose next round rewrites it as a round log.
 type Checkpoint struct {
 	Epoch  uint64
 	Round  uint32 // next round the shard expects
@@ -79,10 +83,11 @@ func SaveCheckpoint(dir string, c *Checkpoint) error {
 	return syncDir(dir)
 }
 
-// LoadCheckpoint reads the checkpoint from dir. A missing file returns
-// (nil, nil): no state, fresh start. A corrupt file returns a nil
-// checkpoint and an ErrCheckpoint the caller may log — it must still
-// boot fresh rather than refuse.
+// LoadCheckpoint reads the snapshot SaveCheckpoint wrote in dir. A
+// missing file returns (nil, nil): no state, fresh start. A corrupt file
+// returns a nil checkpoint and an ErrCheckpoint the caller may log — it
+// must still boot fresh rather than refuse. A shard's round log is not a
+// snapshot and reads as ErrCheckpoint here.
 func LoadCheckpoint(dir string) (*Checkpoint, error) {
 	b, err := os.ReadFile(checkpointPath(dir))
 	if err != nil {
@@ -91,6 +96,11 @@ func LoadCheckpoint(dir string) (*Checkpoint, error) {
 		}
 		return nil, err
 	}
+	return decodeCheckpoint(b)
+}
+
+// decodeCheckpoint parses a FBFSCKP1 or FBFSCKP2 snapshot.
+func decodeCheckpoint(b []byte) (*Checkpoint, error) {
 	if len(b) < len(checkpointMagic) {
 		return nil, fmt.Errorf("%w: truncated at %d bytes", ErrCheckpoint, len(b))
 	}
@@ -144,6 +154,121 @@ func LoadCheckpoint(dir string) (*Checkpoint, error) {
 		c.Resp = append([]byte(nil), b[off:off+int(rlen)]...)
 	}
 	return c, nil
+}
+
+// The round log is a shard's durable round state, kept in shard.ckpt:
+//
+//	header  "FBFSRLG1" | epoch u64 | lo u32 | hi u32 | fence u64 | crc32
+//	record  round u32 | fence u64 | n u32 | n claimed offsets u32 | crc32
+//
+// One record per processed round, in round order from 0, each listing
+// the owned offsets (vertex - lo, ascending) the round claimed. A vertex
+// is claimed at most once per epoch and each epoch starts a new file, so
+// a log holds at most one fixed-size record per round plus four bytes per
+// owned vertex. Replaying the claims rebuilds the depths: a vertex's
+// depth is the round that claimed it.
+const (
+	roundLogMagic  = "FBFSRLG1"
+	logHeaderLen   = len(roundLogMagic) + 8 + 4 + 4 + 8 + 4
+	logRecordFixed = 4 + 8 + 4 + 4
+)
+
+// appendLogHeader appends a round-log header to dst.
+func appendLogHeader(dst []byte, epoch uint64, lo, hi uint32, fence uint64) []byte {
+	start := len(dst)
+	dst = append(dst, roundLogMagic...)
+	dst = binary.LittleEndian.AppendUint64(dst, epoch)
+	dst = binary.LittleEndian.AppendUint32(dst, lo)
+	dst = binary.LittleEndian.AppendUint32(dst, hi)
+	dst = binary.LittleEndian.AppendUint64(dst, fence)
+	return appendCRC(dst, start)
+}
+
+// appendLogRecord appends one round's record to dst.
+func appendLogRecord(dst []byte, round uint32, fence uint64, claimed []uint32) []byte {
+	start := len(dst)
+	dst = binary.LittleEndian.AppendUint32(dst, round)
+	dst = binary.LittleEndian.AppendUint64(dst, fence)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(claimed)))
+	for _, off := range claimed {
+		dst = binary.LittleEndian.AppendUint32(dst, off)
+	}
+	return appendCRC(dst, start)
+}
+
+// roundLog is a round log replayed into shard state.
+type roundLog struct {
+	epoch, fence uint64
+	next         uint32   // rounds recorded, i.e. the next round expected
+	depth        []int32  // per owned offset; -1 = unclaimed
+	last         []uint32 // offsets claimed by round next-1
+	size         int      // length of the valid prefix; a torn tail follows
+}
+
+// loadRoundLog replays b, the round log of a shard owning [lo, hi). A
+// header that is short, corrupt or for another partition is an
+// ErrCheckpoint. Records replay until the first one that is cut short,
+// fails its CRC or does not follow on: a round out of order, a lower
+// fence, or an offset that is out of range, out of order or already
+// claimed. That record and everything after it are a torn tail.
+func loadRoundLog(b []byte, lo, hi uint32) (*roundLog, error) {
+	if len(b) < logHeaderLen || string(b[:len(roundLogMagic)]) != roundLogMagic {
+		return nil, fmt.Errorf("%w: round log header truncated or bad magic", ErrCheckpoint)
+	}
+	if checkCRC(b[:logHeaderLen]) != nil {
+		return nil, fmt.Errorf("%w: round log header checksum mismatch", ErrCheckpoint)
+	}
+	if hlo, hhi := binary.LittleEndian.Uint32(b[16:]), binary.LittleEndian.Uint32(b[20:]); hlo != lo || hhi != hi {
+		return nil, fmt.Errorf("%w: round log covers [%d,%d), partition is [%d,%d)", ErrCheckpoint, hlo, hhi, lo, hi)
+	}
+	rl := &roundLog{
+		epoch: binary.LittleEndian.Uint64(b[8:]),
+		fence: binary.LittleEndian.Uint64(b[24:]),
+		depth: make([]int32, hi-lo),
+		size:  logHeaderLen,
+	}
+	for i := range rl.depth {
+		rl.depth[i] = -1
+	}
+	var last []byte
+	for rest := b[rl.size:]; len(rest) >= logRecordFixed; rest = b[rl.size:] {
+		n := binary.LittleEndian.Uint32(rest[12:])
+		if n > hi-lo || len(rest) < logRecordFixed+4*int(n) {
+			break
+		}
+		rec := rest[:logRecordFixed+4*int(n)]
+		round, fence := binary.LittleEndian.Uint32(rec), binary.LittleEndian.Uint64(rec[4:])
+		offs := rec[16 : len(rec)-4]
+		if checkCRC(rec) != nil || round != rl.next || fence < rl.fence || !claimable(rl.depth, offs) {
+			break
+		}
+		for i := 0; i < len(offs); i += 4 {
+			rl.depth[binary.LittleEndian.Uint32(offs[i:])] = int32(round)
+		}
+		rl.next++
+		rl.fence = fence
+		rl.size += len(rec)
+		last = offs
+	}
+	rl.last = make([]uint32, len(last)/4)
+	for i := range rl.last {
+		rl.last[i] = binary.LittleEndian.Uint32(last[4*i:])
+	}
+	return rl, nil
+}
+
+// claimable reports whether offs, little-endian offsets, are strictly
+// ascending and name only unclaimed vertices of depth.
+func claimable(depth []int32, offs []byte) bool {
+	prev := -1
+	for i := 0; i < len(offs); i += 4 {
+		off := int(binary.LittleEndian.Uint32(offs[i:]))
+		if off <= prev || off >= len(depth) || depth[off] != -1 {
+			return false
+		}
+		prev = off
+	}
+	return true
 }
 
 // writeFileSync writes data to path and fsyncs before closing, so the

@@ -2,8 +2,10 @@ package coord
 
 import (
 	"context"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -285,34 +287,70 @@ func TestChaoticWireStillExact(t *testing.T) {
 // after processing and checkpointing a round but before its response
 // escapes — and a replacement process restored from the checkpoint
 // replays the identical response. Depths stay exact, no epoch restart.
+// The crash may also tear the round's log record at any byte: the
+// replacement then resumes at that round, and the coordinator's retry
+// reprocesses it, again without an epoch restart.
 func TestShardRestartFromCheckpoint(t *testing.T) {
 	g, err := gen.Grid2D(30, 30, 0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want, _ := serialDepths(t, g, 0)
-	dirs := []string{t.TempDir(), t.TempDir(), t.TempDir()}
-	tc := newTestCluster(t, g, 3, dirs)
-	// Shard 1 dies on its 5th round, serves 2 errors, then "restarts"
-	// from its checkpoint directory.
-	tc.proxies[1].script(5, 2, func() http.Handler {
-		s, err := NewShard(g, 1, 3, dirs[1], nil)
+	// run kills shard 1 on its killAt-th round, serves 2 errors, then
+	// "restarts" it from its checkpoint directory after keeping only cut
+	// bytes of the killed round's record (cut < 0 keeps it whole). It
+	// returns the length of that record.
+	run := func(t *testing.T, killAt, cut int) (recLen int) {
+		dirs := []string{t.TempDir(), t.TempDir(), t.TempDir()}
+		tc := newTestCluster(t, g, 3, dirs)
+		tc.proxies[1].script(killAt, 2, func() http.Handler {
+			resume := uint32(killAt)
+			if cut >= 0 {
+				path := checkpointPath(dirs[1])
+				b, err := os.ReadFile(path)
+				if err != nil {
+					t.Errorf("reading the round log: %v", err)
+					return http.NotFoundHandler()
+				}
+				lo, hi := tc.shards[1].Range()
+				rl, err := loadRoundLog(b, lo, hi)
+				if err != nil {
+					t.Errorf("round log before the tear: %v", err)
+					return http.NotFoundHandler()
+				}
+				recLen = logRecordFixed + 4*len(rl.last)
+				if err := os.Truncate(path, int64(rl.size-recLen+cut)); err != nil {
+					t.Errorf("tearing the round log: %v", err)
+				}
+				resume--
+			}
+			s, err := NewShard(g, 1, 3, dirs[1], nil)
+			if err != nil {
+				t.Errorf("restart: %v", err)
+				return http.NotFoundHandler()
+			}
+			if st := s.Status(); st.Round != resume {
+				t.Errorf("restarted shard expects round %d, want %d", st.Round, resume)
+			}
+			return s.Handler()
+		})
+		res, err := tc.open(t).Run(context.Background(), 0)
 		if err != nil {
-			t.Errorf("restart: %v", err)
-			return http.NotFoundHandler()
+			t.Fatal(err)
 		}
-		return s.Handler()
-	})
-	res, err := tc.open(t).Run(context.Background(), 0)
-	if err != nil {
-		t.Fatal(err)
+		assertExactDepths(t, res, want)
+		if res.Retries == 0 {
+			t.Fatal("crash produced no retries; the kill never happened")
+		}
+		if res.EpochRestarts != 0 {
+			t.Fatalf("checkpointed restart forced %d epoch restarts; replay should have sufficed", res.EpochRestarts)
+		}
+		return recLen
 	}
-	assertExactDepths(t, res, want)
-	if res.Retries == 0 {
-		t.Fatal("crash produced no retries; the kill never happened")
-	}
-	if res.EpochRestarts != 0 {
-		t.Fatalf("checkpointed restart forced %d epoch restarts; replay should have sufficed", res.EpochRestarts)
+	run(t, 5, -1)
+	// Shard 1 owns rows 10-19; round 14 claims five of its vertices.
+	for cut, recLen := 0, 1; cut < recLen; cut++ {
+		t.Run(fmt.Sprintf("cut%d", cut), func(t *testing.T) { recLen = run(t, 15, cut) })
 	}
 }
 

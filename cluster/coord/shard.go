@@ -1,11 +1,16 @@
 package coord
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"log"
+	"math/bits"
 	"net/http"
+	"os"
+	"slices"
 	"sync"
 	"time"
 
@@ -21,19 +26,26 @@ import (
 // retrying coordinator safe too.
 //
 // The round protocol is strictly sequenced per epoch: the shard tracks
-// the next round it expects, replays its checkpointed response for the
+// the next round it expects, replays its cached response for the
 // immediately previous round (duplicate delivery), and rejects anything
 // else with a typed sequencing error the coordinator resolves by
-// restarting the epoch. Every processed round is checkpointed to disk
-// (when a checkpoint dir is configured) before the response leaves the
-// shard, so a crash after processing never loses a round the
-// coordinator believes happened.
+// restarting the epoch. When a checkpoint dir is configured every
+// processed round is appended to the shard's round log and synced before
+// the response leaves the shard, and the round's state is applied only
+// once that succeeded, so a crash never loses a round the coordinator
+// believes happened and a failed write never acknowledges one.
+//
+// A shard keeps only what it owns: the out-edges of [lo, hi), copied out
+// of the graph at construction, and the depths of [lo, hi).
 type Shard struct {
-	g       *graph.Graph
 	id      int
 	replica int
 	shards  int
 	lo, hi  uint32
+	// offsets and nbrs are the owned CSR slice: the out-neighbors of
+	// vertex lo+i are nbrs[offsets[i]:offsets[i+1]].
+	offsets []int64
+	nbrs    []uint32
 	dir     string // checkpoint dir; "" disables persistence
 
 	inj *faultinject.Plan
@@ -42,11 +54,21 @@ type Shard struct {
 	mu     sync.Mutex
 	epoch  uint64
 	next   uint32 // next round expected within epoch
-	src    uint32
 	depth  []int32
 	resp   []byte // encoded response of round next-1
 	fence  uint64 // highest fencing token admitted
 	resets uint64 // round-0 epoch resets observed (fresh epochs + restarts)
+
+	// The open round log and its length. nil means the next durable round
+	// writes the whole log afresh.
+	log     *os.File
+	logSize int64
+
+	// Per-round scratch, reused across rounds.
+	claimed []uint32    // offsets claimed this round, ascending
+	seen    []uint32    // discovery bitmap over every vertex of the graph
+	dests   []*Frontier // one per destination shard, cut from seen
+	rec     []byte      // this round's log record
 }
 
 // ErrRoundSequence is a shard's typed refusal of an out-of-sequence
@@ -74,7 +96,8 @@ func NewShard(g *graph.Graph, id, shards int, ckptDir string, inj *faultinject.P
 // NewReplicaShard is NewShard with an explicit replica index inside the
 // shard's group. The replica index is identity only — the partition
 // range depends solely on the group id, so every replica of a group
-// owns the same [lo, hi) and runs the identical round protocol.
+// owns the same [lo, hi) and runs the identical round protocol. The
+// shard copies out the owned part of g and keeps no reference to g.
 func NewReplicaShard(g *graph.Graph, id, replica, shards int, ckptDir string, inj *faultinject.Plan) (*Shard, error) {
 	if shards < 1 || id < 0 || id >= shards {
 		return nil, fmt.Errorf("coord: shard %d of %d invalid", id, shards)
@@ -82,25 +105,75 @@ func NewReplicaShard(g *graph.Graph, id, replica, shards int, ckptDir string, in
 	if replica < 0 {
 		return nil, fmt.Errorf("coord: replica %d invalid", replica)
 	}
-	lo, hi := PartitionRange(g.NumVertices(), shards, id)
-	s := &Shard{g: g, id: id, replica: replica, shards: shards, lo: lo, hi: hi, dir: ckptDir, inj: inj}
+	n := g.NumVertices()
+	lo, hi := PartitionRange(n, shards, id)
+	s := &Shard{
+		id: id, replica: replica, shards: shards, lo: lo, hi: hi, dir: ckptDir, inj: inj,
+		offsets: make([]int64, hi-lo+1),
+		seen:    make([]uint32, frontierWords(0, uint32(n))),
+		dests:   make([]*Frontier, shards),
+	}
+	if hi > lo {
+		base := g.Offsets[lo]
+		for i := range s.offsets {
+			s.offsets[i] = g.Offsets[int(lo)+i] - base
+		}
+		s.nbrs = slices.Clone(g.Neighbors[base:g.Offsets[hi]])
+	}
+	for o := range s.dests {
+		dlo, dhi := PartitionRange(n, shards, o)
+		s.dests[o] = NewFrontier(0, 0, uint32(o), dlo, dhi)
+	}
 	if ckptDir != "" {
-		c, err := LoadCheckpoint(ckptDir)
-		switch {
-		case errors.Is(err, ErrCheckpoint):
-			log.Printf("shard %d: discarding corrupt checkpoint: %v", id, err)
-		case err != nil:
+		if err := s.restore(); err != nil {
 			return nil, err
-		case c != nil && (c.Lo != lo || c.Hi != hi):
-			log.Printf("shard %d: checkpoint covers [%d,%d), partition is [%d,%d); discarding",
-				id, c.Lo, c.Hi, lo, hi)
-		case c != nil:
-			s.epoch, s.next, s.src, s.depth, s.resp = c.Epoch, c.Round, c.Source, c.Depth, c.Resp
-			s.fence = c.Fence
-			log.Printf("shard %d: restored checkpoint epoch %d round %d fence %d", id, c.Epoch, c.Round, c.Fence)
 		}
 	}
 	return s, nil
+}
+
+// restore loads the shard's state from its checkpoint dir: a round log,
+// or a snapshot written by SaveCheckpoint, which the next round rewrites
+// as a round log. A missing file is a fresh start, and so is a corrupt
+// one or one for another partition.
+func (s *Shard) restore() error {
+	path := checkpointPath(s.dir)
+	b, err := os.ReadFile(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil
+	}
+	if err != nil {
+		return err
+	}
+	if !bytes.HasPrefix(b, []byte(roundLogMagic)) {
+		c, err := decodeCheckpoint(b)
+		if err == nil && (c.Lo != s.lo || c.Hi != s.hi) {
+			err = fmt.Errorf("%w: snapshot covers [%d,%d), partition is [%d,%d)", ErrCheckpoint, c.Lo, c.Hi, s.lo, s.hi)
+		}
+		if err != nil {
+			log.Printf("shard %d: discarding checkpoint: %v", s.id, err)
+			return nil
+		}
+		s.epoch, s.next, s.fence, s.depth, s.resp = c.Epoch, c.Round, c.Fence, c.Depth, c.Resp
+		log.Printf("shard %d: restored snapshot epoch %d round %d fence %d", s.id, s.epoch, s.next, s.fence)
+		return nil
+	}
+	rl, err := loadRoundLog(b, s.lo, s.hi)
+	if err != nil {
+		log.Printf("shard %d: discarding checkpoint: %v", s.id, err)
+		return nil
+	}
+	s.epoch, s.next, s.fence, s.depth = rl.epoch, rl.next, rl.fence, rl.depth
+	if s.next > 0 {
+		s.resp = s.expand(s.epoch, s.next-1, rl.last)
+	}
+	// Appends continue after the valid prefix, cutting off a torn tail. If
+	// the file cannot be reopened, the next round rewrites it whole.
+	if err := s.openLog(int64(rl.size)); err != nil {
+		log.Printf("shard %d: reopening round log: %v", s.id, err)
+	}
+	log.Printf("shard %d: restored round log epoch %d round %d fence %d", s.id, s.epoch, s.next, s.fence)
+	return nil
 }
 
 // Range returns the shard's owned vertex range [lo, hi).
@@ -141,9 +214,9 @@ func (s *Shard) Status() ShardStatus {
 // are refused; a higher token raises the bar. Token 0 is the legacy
 // unfenced protocol — it is admitted only until a fenced coordinator
 // (token >= 1) has been seen. The raised bar is persisted with the next
-// round checkpoint (best effort: a fence learned between checkpoints
-// dies with the process, and the standby's strictly-higher token makes
-// that safe).
+// round's log record (best effort: a fence learned between rounds dies
+// with the process, and the standby's strictly-higher token makes that
+// safe).
 func (s *Shard) admitFence(fence uint64) error {
 	if s.inj != nil {
 		d := s.inj.Decide(faultinject.SiteShardLease, s.seq.Next(faultinject.SiteShardLease))
@@ -219,9 +292,13 @@ func (s *Shard) Expand(req *Frontier, fence uint64) ([]byte, error) {
 	case req.Round == 0:
 		// Round 0 of any epoch starts that epoch fresh: this is both how
 		// epochs begin and how the coordinator restarts one after a shard
-		// lost its state.
+		// lost its state. The old epoch's log stays on disk until the new
+		// one replaces it.
 		s.epoch, s.next, s.resp = req.Epoch, 0, nil
-		s.depth = nil
+		for i := range s.depth {
+			s.depth[i] = -1
+		}
+		s.closeLog()
 		s.resets++
 	default:
 		return nil, fmt.Errorf("%w: shard %d at epoch %d round %d, message is epoch %d round %d",
@@ -234,49 +311,177 @@ func (s *Shard) Expand(req *Frontier, fence uint64) ([]byte, error) {
 			s.depth[i] = -1
 		}
 	}
-
-	resp := &ExpandResponse{Epoch: req.Epoch, Round: req.Round, Shard: uint32(s.id)}
-	out := make([]*Frontier, s.shards)
-	n := s.g.NumVertices()
-	req.ForEach(func(v uint32) {
-		if s.depth[v-s.lo] != -1 {
-			return // claimed in an earlier round; not a discovery now
-		}
-		s.depth[v-s.lo] = int32(req.Round)
-		resp.Claimed++
-		if req.Round == 0 {
-			s.src = v
-		}
-		for _, w := range s.g.Neighbors1(v) {
-			o := PartitionOwner(n, s.shards, w)
-			if out[o] == nil {
-				lo, hi := PartitionRange(n, s.shards, o)
-				out[o] = NewFrontier(req.Epoch, req.Round, uint32(o), lo, hi)
-			}
-			out[o].Set(w)
-		}
-	})
-	for _, f := range out {
-		if f != nil && !f.Empty() {
-			resp.Out = append(resp.Out, f)
-		}
-	}
-
-	enc := resp.Encode()
-	s.next = req.Round + 1
-	s.resp = enc
+	s.claim(req)
 	if s.dir != "" {
-		ck := &Checkpoint{
-			Epoch: s.epoch, Round: s.next, Source: s.src, Fence: s.fence,
-			Lo: s.lo, Hi: s.hi, Depth: s.depth, Resp: enc,
-		}
-		if err := SaveCheckpoint(s.dir, ck); err != nil {
-			// An unsaveable checkpoint must fail the round: returning
-			// success without durability would break replay-after-crash.
+		if err := s.persist(req.Round); err != nil {
+			// Not durable, so the round did not happen: undo its claims and
+			// let the coordinator's retry process it afresh.
+			for _, off := range s.claimed {
+				s.depth[off] = -1
+			}
 			return nil, fmt.Errorf("coord: shard %d checkpoint: %w", s.id, err)
 		}
 	}
-	return enc, nil
+	s.next = req.Round + 1
+	s.resp = s.expand(req.Epoch, req.Round, s.claimed)
+	return s.resp, nil
+}
+
+// claim scans the candidate bitmap a word at a time, claims every
+// candidate not claimed in an earlier round at depth == round, and
+// records the claimed offsets in s.claimed, ascending.
+func (s *Shard) claim(req *Frontier) {
+	s.claimed = s.claimed[:0]
+	size := uint32(len(s.depth))
+	for wi, w := range req.words {
+		for ; w != 0; w &= w - 1 {
+			off := uint32(wi)<<5 | uint32(bits.TrailingZeros32(w))
+			if off < size && s.depth[off] == -1 {
+				s.depth[off] = int32(req.Round)
+				s.claimed = append(s.claimed, off)
+			}
+		}
+	}
+}
+
+// expand marks every out-neighbor of the claimed offsets in one bitmap
+// over the whole graph, cuts it into the per-destination frontiers and
+// returns the round's encoded response. The output depends only on the
+// arguments and the owned CSR, so re-expanding a logged round's claims
+// rebuilds its response byte for byte.
+func (s *Shard) expand(epoch uint64, round uint32, claimed []uint32) []byte {
+	resp := &ExpandResponse{Epoch: epoch, Round: round, Shard: uint32(s.id), Claimed: uint64(len(claimed))}
+	if len(claimed) == 0 {
+		return resp.Encode()
+	}
+	seen := s.seen
+	for _, off := range claimed {
+		for _, w := range s.nbrs[s.offsets[off]:s.offsets[off+1]] {
+			seen[w>>5] |= 1 << (w & 31)
+		}
+	}
+	for _, f := range s.dests {
+		if cutFrontier(f, seen) {
+			f.Epoch, f.Round = epoch, round
+			resp.Out = append(resp.Out, f)
+		}
+	}
+	clear(seen)
+	return resp.Encode()
+}
+
+// cutFrontier copies the bits of seen over [f.Lo, f.Hi) into f and
+// reports whether any is set. f.Lo need not be word-aligned: each word
+// of f is funnel-shifted out of two words of seen.
+func cutFrontier(f *Frontier, seen []uint32) bool {
+	k, sh := int(f.Lo>>5), f.Lo&31
+	tail := (f.Hi - f.Lo) & 31
+	var or uint32
+	for i := range f.words {
+		j := k + i
+		w := seen[j] >> sh
+		if j+1 < len(seen) {
+			w |= seen[j+1] << (32 - sh) // a shift by 32 yields 0
+		}
+		if tail != 0 && i == len(f.words)-1 {
+			w &= 1<<tail - 1
+		}
+		f.words[i] = w
+		or |= w
+	}
+	return or != 0
+}
+
+// persist makes the round durable before its response may leave. The
+// first round of a log (round 0, or the first after a snapshot restore
+// or a failed write) writes the whole log to a temp file, syncs it and
+// renames it into place, so a crash in between keeps the old file and
+// its fence. Every later round appends its record and syncs it.
+func (s *Shard) persist(round uint32) error {
+	var fault error
+	if s.inj != nil {
+		d := s.inj.Decide(faultinject.SiteShardCheckpoint, s.seq.Next(faultinject.SiteShardCheckpoint))
+		if d.Delay > 0 {
+			time.Sleep(d.Delay)
+		}
+		fault = d.Err
+	}
+	s.rec = appendLogRecord(s.rec[:0], round, s.fence, s.claimed)
+	if s.log == nil {
+		return s.rewriteLog(fault)
+	}
+	if fault == nil {
+		_, fault = s.log.WriteAt(s.rec, s.logSize)
+	}
+	if fault == nil {
+		fault = s.log.Sync()
+	}
+	if fault != nil {
+		// What reached the file is unknown: the next round rewrites it.
+		s.closeLog()
+		return fault
+	}
+	s.logSize += int64(len(s.rec))
+	return nil
+}
+
+// rewriteLog atomically replaces the log with the current epoch's: the
+// header, one record per earlier round rebuilt from depth, and this
+// round's record. fault, when set, fails it after the temp file is
+// written and before the rename.
+func (s *Shard) rewriteLog(fault error) error {
+	img := appendLogHeader(nil, s.epoch, s.lo, s.hi, s.fence)
+	if s.next > 0 {
+		byRound := make([][]uint32, s.next)
+		for off, d := range s.depth {
+			if d >= 0 && uint32(d) < s.next {
+				byRound[d] = append(byRound[d], uint32(off))
+			}
+		}
+		for r, claimed := range byRound {
+			img = appendLogRecord(img, uint32(r), s.fence, claimed)
+		}
+	}
+	img = append(img, s.rec...)
+
+	path := checkpointPath(s.dir)
+	err := writeFileSync(path+".tmp", img)
+	if err == nil {
+		err = fault
+	}
+	if err == nil {
+		err = os.Rename(path+".tmp", path)
+	}
+	if err == nil {
+		err = syncDir(s.dir)
+	}
+	if err != nil {
+		return err
+	}
+	return s.openLog(int64(len(img)))
+}
+
+// openLog opens the round log for appends after its first size bytes,
+// cutting off anything beyond them.
+func (s *Shard) openLog(size int64) error {
+	f, err := os.OpenFile(checkpointPath(s.dir), os.O_WRONLY, 0)
+	if err != nil {
+		return err
+	}
+	if err := f.Truncate(size); err != nil {
+		f.Close()
+		return err
+	}
+	s.log, s.logSize = f, size
+	return nil
+}
+
+// closeLog drops the open round log, if any.
+func (s *Shard) closeLog() {
+	if s.log != nil {
+		s.log.Close()
+		s.log = nil
+	}
 }
 
 // Resets returns how many round-0 epoch resets the shard has absorbed;

@@ -97,6 +97,12 @@ const (
 	// EIO) and flip the manifest into degraded non-durable mode until a
 	// probe append succeeds.
 	SiteManifestAppend Site = "manifest.append"
+	// SiteShardCheckpoint fires in a shard's round-log write, before a
+	// round record is appended, or after an epoch's new log is written to
+	// its temp file but before the rename: errors simulate disk faults
+	// (the round fails and the coordinator retries it) and, at epoch
+	// start, a crash between the temp write and the rename.
+	SiteShardCheckpoint Site = "shard.checkpoint"
 )
 
 // ErrInjected is the default error carried by injected failures; chaos
@@ -247,6 +253,7 @@ type Sequencer struct {
 	shardStall     atomic.Uint64
 	scrubCorrupt   atomic.Uint64
 	manifestAppend atomic.Uint64
+	shardCkpt      atomic.Uint64
 	other          atomic.Uint64
 }
 
@@ -277,6 +284,8 @@ func (s *Sequencer) Next(site Site) uint64 {
 		return s.scrubCorrupt.Add(1) - 1
 	case SiteManifestAppend:
 		return s.manifestAppend.Add(1) - 1
+	case SiteShardCheckpoint:
+		return s.shardCkpt.Add(1) - 1
 	default:
 		return s.other.Add(1) - 1
 	}
