@@ -13,11 +13,11 @@ import (
 	"fastbfs/internal/faultinject"
 )
 
-// newAuditCluster is newReplicaCluster with per-shard injectors (flat
-// group-major index), for tests that disturb one replica only.
+// newAuditCluster is a failFast test cluster with per-shard injectors
+// (flat group-major index), for tests that disturb one replica only.
 func newAuditCluster(t *testing.T, g *graph.Graph, groups, replicas int, injs []*faultinject.Plan) *testCluster {
 	t.Helper()
-	tc := newReplicaCluster(t, g, groups, replicas, nil, nil)
+	tc := newTestCluster(t, g, groups, replicas, nil, nil).failFast()
 	// Rebuild the shards whose slot has an injector; the servers and URLs
 	// stay, only the handler behind the proxy changes.
 	for u, inj := range injs {
@@ -90,7 +90,7 @@ func TestAuditOutvotesDivergentReplica(t *testing.T) {
 	}
 	want, levels := serialDepths(t, g, 1)
 	seed := divergeSeed(t, 2, 3, 0.08, uint32(len(levels))+2, 6)
-	tc := newReplicaCluster(t, g, 2, 3, nil, nil)
+	tc := newTestCluster(t, g, 2, 3, nil, nil).failFast()
 	tc.cfg.AuditReplicas = true
 	tc.cfg.Injector = &faultinject.Plan{Seed: seed, Rules: map[faultinject.Site]faultinject.Rule{
 		faultinject.SiteCoordDiverge: {FaultProb: 0.08},
@@ -138,7 +138,7 @@ func TestAuditWithoutQuorumNeverServesCorruption(t *testing.T) {
 	if seed == 0 {
 		t.Fatal("no usable divergence seed found")
 	}
-	tc := newReplicaCluster(t, g, 2, 2, nil, nil)
+	tc := newTestCluster(t, g, 2, 2, nil, nil).failFast()
 	tc.cfg.AuditReplicas = true
 	tc.cfg.Injector = &faultinject.Plan{Seed: seed, Rules: map[faultinject.Site]faultinject.Rule{
 		faultinject.SiteCoordDiverge: {FaultProb: 0.25},

@@ -15,7 +15,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"fastbfs/cluster"
 	"fastbfs/internal/faultinject"
 )
 
@@ -50,7 +49,7 @@ type Config struct {
 	MaxAttempts int
 	// Backoff schedules the delay between retries. A zero value gets
 	// 50ms base, 2s cap, 0.5 jitter.
-	Backoff cluster.Backoff
+	Backoff Backoff
 	// RecoveryBudget is how long past its last sign of life (heartbeat
 	// or round start, whichever is later) a failing shard may stay
 	// unreachable before it is declared dead and the round fails over
@@ -94,8 +93,8 @@ func (c Config) withDefaults() Config {
 	if c.MaxAttempts <= 0 {
 		c.MaxAttempts = 4
 	}
-	if c.Backoff == (cluster.Backoff{}) {
-		c.Backoff = cluster.Backoff{Base: 50 * time.Millisecond, Max: 2 * time.Second, Jitter: 0.5}
+	if c.Backoff == (Backoff{}) {
+		c.Backoff = Backoff{Base: 50 * time.Millisecond, Max: 2 * time.Second, Jitter: 0.5}
 	}
 	if c.RecoveryBudget <= 0 {
 		c.RecoveryBudget = 15 * time.Second

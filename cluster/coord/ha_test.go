@@ -5,15 +5,12 @@ import (
 	"context"
 	"errors"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"runtime"
 	"testing"
 	"time"
 
-	"fastbfs/cluster"
-	"fastbfs/graph"
 	"fastbfs/graph/gen"
 	"fastbfs/internal/faultinject"
 )
@@ -418,38 +415,11 @@ func TestJournalApplyStaleAndGarbage(t *testing.T) {
 
 // --- Replica groups: failover and fencing ----------------------------
 
-// newReplicaCluster builds groups x replicas in-process shard servers in
-// group-major order and a coordinator Config with a short recovery
-// budget, so a killed replica is declared dead for the epoch quickly.
-func newReplicaCluster(t *testing.T, g *graph.Graph, groups, replicas int, ckptDirs []string, inj *faultinject.Plan) *testCluster {
-	t.Helper()
-	tc := &testCluster{cfg: Config{
-		Replicas:          replicas,
-		RPCTimeout:        5 * time.Second,
-		MaxAttempts:       3,
-		Backoff:           cluster.Backoff{Base: 2 * time.Millisecond, Max: 20 * time.Millisecond, Jitter: 0.5, Seed: 1},
-		RecoveryBudget:    400 * time.Millisecond,
-		HeartbeatInterval: 20 * time.Millisecond,
-	}}
-	for gid := 0; gid < groups; gid++ {
-		for r := 0; r < replicas; r++ {
-			dir := ""
-			if ckptDirs != nil {
-				dir = ckptDirs[gid*replicas+r]
-			}
-			s, err := NewReplicaShard(g, gid, r, groups, dir, inj)
-			if err != nil {
-				t.Fatal(err)
-			}
-			p := &restartProxy{inner: s.Handler()}
-			srv := httptest.NewServer(p)
-			t.Cleanup(srv.Close)
-			tc.shards = append(tc.shards, s)
-			tc.proxies = append(tc.proxies, p)
-			tc.servers = append(tc.servers, srv)
-			tc.cfg.Shards = append(tc.cfg.Shards, srv.URL)
-		}
-	}
+// failFast shortens tc's recovery budget, so a killed replica is
+// declared dead for the epoch quickly.
+func (tc *testCluster) failFast() *testCluster {
+	tc.cfg.RecoveryBudget = 400 * time.Millisecond
+	tc.cfg.MaxAttempts = 3
 	return tc
 }
 
@@ -464,7 +434,7 @@ func TestReplicaFailoverExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	want, _ := serialDepths(t, g, 1)
-	tc := newReplicaCluster(t, g, 2, 2, nil, nil)
+	tc := newTestCluster(t, g, 2, 2, nil, nil).failFast()
 	// Group 0's primary replica dies at its 2nd expand, forever.
 	tc.proxies[0].script(2, -1, nil)
 	c := tc.open(t)
@@ -490,7 +460,7 @@ func TestReplicaGroupDeathDegrades(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tc := newReplicaCluster(t, g, 2, 2, nil, nil)
+	tc := newTestCluster(t, g, 2, 2, nil, nil).failFast()
 	// Both replicas of group 1 die at their first expand.
 	tc.proxies[2].script(1, -1, nil)
 	tc.proxies[3].script(1, -1, nil)
@@ -521,7 +491,7 @@ func TestFencingRejectsStaleCoordinator(t *testing.T) {
 	}
 	want, _ := serialDepths(t, g, 1)
 	dirs := []string{t.TempDir(), t.TempDir()}
-	tc := newTestCluster(t, g, 2, dirs)
+	tc := newTestCluster(t, g, 2, 1, dirs, nil)
 
 	oldCfg := tc.cfg
 	oldCfg.Fence = 5
@@ -583,7 +553,7 @@ func TestStandbyResume(t *testing.T) {
 	inj := &faultinject.Plan{Seed: 11, Rules: map[faultinject.Site]faultinject.Rule{
 		faultinject.SiteShardExpand: {DelayProb: 1, MaxDelay: 3 * time.Millisecond},
 	}}
-	tc := newReplicaCluster(t, g, 2, 1, nil, inj)
+	tc := newTestCluster(t, g, 2, 1, nil, inj).failFast()
 	stateDir := t.TempDir()
 
 	jA, err := OpenJournal(stateDir, 0)
@@ -681,7 +651,7 @@ func TestReplicaClusterDrainsGoroutines(t *testing.T) {
 		t.Fatal(err)
 	}
 	want, _ := serialDepths(t, g, 1)
-	tc := newReplicaCluster(t, g, 2, 2, nil, nil)
+	tc := newTestCluster(t, g, 2, 2, nil, nil).failFast()
 	client := &http.Client{}
 	tc.cfg.Client = client
 	tc.proxies[1].script(2, -1, nil)

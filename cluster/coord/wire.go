@@ -1,5 +1,4 @@
-// Package coord turns the single-process cluster simulation
-// (cluster.Sim) into a real multi-process deployment: a Coordinator
+// Package coord is the multi-process distributed BFS: a Coordinator
 // drives level-synchronous BFS rounds over HTTP against N Shard
 // processes, each owning a contiguous 1D vertex partition
 // (owner-computes, per Buluç & Madduri's distributed BFS formulation).
@@ -14,7 +13,7 @@
 //     checkpointed response, so duplicate and retried deliveries are
 //     harmless.
 //   - The coordinator retries failed RPCs with deadlines and jittered
-//     exponential backoff (cluster.Backoff), detects shard failures by
+//     exponential backoff (Backoff), detects shard failures by
 //     heartbeat, and replays rounds against shards that restart from
 //     their per-round checkpoint.
 //   - A shard that restarts without state forces an epoch restart: the

@@ -47,7 +47,6 @@ import (
 	"syscall"
 	"time"
 
-	"fastbfs/cluster"
 	"fastbfs/cluster/coord"
 	"fastbfs/graph"
 	"fastbfs/graph/gen"
@@ -238,7 +237,7 @@ func runShardMode(addr string, cf clusterFlags, g *graph.Graph) error {
 // cannot succeed.
 func registerWithCoordinator(coordURL string, id, replica int, addr string) error {
 	body, _ := json.Marshal(map[string]any{"id": id, "replica": replica, "url": selfURL(addr)})
-	bo := cluster.Backoff{Base: 50 * time.Millisecond, Max: 2 * time.Second, Jitter: 0.5}
+	bo := coord.Backoff{Base: 50 * time.Millisecond, Max: 2 * time.Second, Jitter: 0.5}
 	deadline := time.Now().Add(2 * time.Minute)
 	var last error
 	for attempt := 1; ; attempt++ {

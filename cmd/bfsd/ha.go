@@ -26,7 +26,6 @@ import (
 	"sync"
 	"time"
 
-	"fastbfs/cluster"
 	"fastbfs/cluster/coord"
 	"fastbfs/internal/faultinject"
 )
@@ -394,7 +393,7 @@ func clusterCoordConfig(cf clusterFlags, inj *faultinject.Plan) coord.Config {
 		HeartbeatInterval: cf.heartbeat,
 		HedgeAfter:        cf.hedgeAfter,
 		AuditReplicas:     cf.auditReplicas,
-		Backoff:           cluster.Backoff{Base: 25 * time.Millisecond, Max: time.Second, Jitter: 0.5, Seed: cf.chaosSeed},
+		Backoff:           coord.Backoff{Base: 25 * time.Millisecond, Max: time.Second, Jitter: 0.5, Seed: cf.chaosSeed},
 		Injector:          inj,
 	}
 }

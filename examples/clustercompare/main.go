@@ -6,13 +6,11 @@
 package main
 
 import (
-	"context"
 	"fmt"
 	"log"
 
 	"fastbfs/bfs"
 	"fastbfs/cluster"
-	"fastbfs/graph/gen"
 	"fastbfs/graph500"
 	"fastbfs/model"
 )
@@ -49,29 +47,6 @@ func main() {
 	}
 	fmt.Println("\n(the paper reports its single node matching a 256-node system on the Nov 2010 Graph500 list)")
 
-	// Validate the model's communication assumption with the real
-	// distributed simulation: a 1-D partitioned multi-node BFS whose
-	// per-edge remote fraction the model takes as (1 - 1/N).
-	fmt.Println("\ndistributed-BFS simulation (in-process nodes) on a scale-16 graph:")
-	small, err := gen.Kronecker(16, 16, 20100521)
-	if err != nil {
-		log.Fatal(err)
-	}
-	root := graph500.SampleRoots(small, 1, 3)[0]
-	for _, n := range []int{1, 2, 4, 8} {
-		sim, err := cluster.NewSim(small, n)
-		if err != nil {
-			log.Fatal(err)
-		}
-		res, err := sim.Run(context.Background(), root)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("  %2d nodes: %7d visited in %d steps, remote fraction %.3f (model assumes %.3f), %s on the wire\n",
-			n, res.Visited, res.Steps, res.RemoteFraction(), 1-1/float64(n),
-			humanBytes(res.BytesOnWire))
-	}
-
 	// And the break-even view: cluster rate as node count grows.
 	fmt.Println("\nprojected era-2010 cluster scaling (20 MTEPS/node):")
 	for _, n := range []int{1, 16, 64, 256, 1024} {
@@ -87,16 +62,6 @@ func main() {
 		}
 		fmt.Printf("  %5d nodes: %9.1f MTEPS  (%s)\n", n, pr.TEPS/1e6, bound)
 	}
-}
-
-func humanBytes(b int64) string {
-	switch {
-	case b >= 1<<20:
-		return fmt.Sprintf("%.1f MiB", float64(b)/(1<<20))
-	case b >= 1<<10:
-		return fmt.Sprintf("%.1f KiB", float64(b)/(1<<10))
-	}
-	return fmt.Sprintf("%d B", b)
 }
 
 // paperRate returns the analytical model's dual-socket prediction for
