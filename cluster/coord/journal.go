@@ -73,10 +73,10 @@ type Journal struct {
 	TornBytes       int64
 	SnapshotCorrupt bool
 
-	// Mirror, when non-nil, observes every successfully appended record
-	// (encoded bytes) — the active coordinator's hook for pushing state
-	// to its standby. It runs under the journal lock and must not block.
-	Mirror func(rec []byte)
+	// Mirror, when non-nil, is called after every successful append — the
+	// active coordinator's hook for pushing its state to its standby. It
+	// runs under the journal lock and must not block.
+	Mirror func()
 
 	countedRecords int // valid records folded during replayLog
 }
@@ -308,7 +308,7 @@ func (j *Journal) append(rec []byte) error {
 	}
 	j.records++
 	if j.Mirror != nil {
-		j.Mirror(rec)
+		j.Mirror()
 	}
 	if j.records >= j.every {
 		if err := j.compact(); err != nil {

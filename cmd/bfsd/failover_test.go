@@ -9,16 +9,20 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"strconv"
 	"sync"
 	"testing"
 	"time"
+
+	"fastbfs/cluster/coord"
 )
 
 // startCoordinatorAt launches a bfsd coordinator pinned to addr (the
@@ -212,8 +216,10 @@ func TestClusterStandbyTakeover(t *testing.T) {
 	}
 	assertClusterExact(t, res, want)
 
-	// Launch a slow query and SIGKILL the active mid-epoch; the client's
-	// connection dies with it.
+	// Launch a slow query and SIGKILL the active once the standby's
+	// mirror holds the epoch mid-flight; the client's connection dies
+	// with it. No fixed sleep lands mid-epoch reliably: at scale 14 the
+	// whole epoch takes about 250 ms.
 	go func() {
 		body, _ := json.Marshal(clusterBFSRequest{Source: 0})
 		resp, err := http.Post(active.url("/cluster/bfs"), "application/json", bytes.NewReader(body))
@@ -222,8 +228,9 @@ func TestClusterStandbyTakeover(t *testing.T) {
 			resp.Body.Close()
 		}
 	}()
-	time.Sleep(250 * time.Millisecond)
+	e := waitMirroredEpoch(t, standby, active, res.Epoch)
 	active.kill(t)
+	t.Logf("killed the active with epoch %d mirrored at round %d", e.Epoch, e.Round)
 
 	// The standby notices the unrenewed lease, takes over, and resumes
 	// the journaled epoch; /readyz flips to 200 only after that.
@@ -240,11 +247,103 @@ func TestClusterStandbyTakeover(t *testing.T) {
 	if !bytes.Contains([]byte(logs), []byte("standby: takeover complete")) {
 		t.Fatalf("standby never logged its takeover:\n%s", logs)
 	}
-	if !bytes.Contains([]byte(logs), []byte("resumed in-flight epoch")) {
+	if !bytes.Contains([]byte(logs), []byte(fmt.Sprintf("resumed in-flight epoch %d ", e.Epoch))) {
 		t.Fatalf("standby never resumed the journaled epoch:\n%s", logs)
 	}
 	if !bytes.Contains([]byte(logs), []byte("epoch restarts 0")) {
 		t.Fatalf("resume restarted the epoch instead of replaying checkpointed rounds:\n%s", logs)
+	}
+}
+
+// waitMirroredEpoch polls the standby's mirrored journal (its own
+// GET /cluster/state) until it holds an in-flight epoch other than the
+// finished one past round 0, the state a takeover must resume, and
+// returns that epoch record.
+func waitMirroredEpoch(t *testing.T, standby, active *daemon, finished uint64) *coord.EpochState {
+	t.Helper()
+	var last *coord.EpochState
+	deadline := time.Now().Add(15 * time.Second)
+	for time.Now().Before(deadline) {
+		if resp, err := http.Get(standby.url("/cluster/state")); err == nil {
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			frames, _ := coord.SplitFrames(body)
+			for _, rec := range frames {
+				if e, err := coord.DecodeEpochState(rec); err == nil {
+					last = e
+				}
+			}
+			if last != nil && last.Epoch != finished && !last.Done && last.Round >= 1 {
+				return last
+			}
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	t.Fatalf("the standby's mirror never showed an in-flight epoch past round 0 (last %+v); active logs:\n%s", last, active.logs)
+	return nil
+}
+
+// TestMirrorPushKeepsRoundBehindLease: a lease renewal journaled while
+// a push is in flight must not cost the standby the round record
+// appended just before it. A takeover in that window would resume a
+// round the shards have already passed, which forces an epoch restart.
+func TestMirrorPushKeepsRoundBehindLease(t *testing.T) {
+	openJournal := func() *coord.Journal {
+		j, err := coord.OpenJournal(t.TempDir(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { j.Close() })
+		return j
+	}
+	standby := &coordServer{journal: openJournal()}
+	entered, hold := make(chan struct{}), make(chan struct{})
+	release := sync.OnceFunc(func() { close(hold) })
+	pushed := make(chan struct{}, 2) // the held push and the one after it
+	var first sync.Once
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		first.Do(func() { close(entered); <-hold }) // the first push stays in flight
+		standby.handleMirror(w, r)
+		select {
+		case pushed <- struct{}{}:
+		default:
+		}
+	}))
+	defer srv.Close()
+	defer release() // before srv.Close, which waits for the held handler
+	active := newCoordServer("127.0.0.1:0", clusterFlags{}, nil)
+	active.journal = openJournal()
+	active.journal.Mirror = active.mirrorHook
+	active.standbyURL = srv.URL
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go active.mirrorPusher(ctx)
+
+	round := func(r uint32) {
+		if err := active.journal.AppendEpoch(&coord.EpochState{Epoch: 7, Fence: 1, Round: r}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	round(1)
+	select {
+	case <-entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("no push reached the standby")
+	}
+	round(2)
+	if err := active.publishLease(); err != nil {
+		t.Fatal(err)
+	}
+	release()
+	for i := 1; i <= 2; i++ {
+		select {
+		case <-pushed:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("push %d never reached the standby", i)
+		}
+	}
+	if st := standby.journal.State(); st.Epoch == nil || st.Epoch.Round != 2 || st.Lease == nil {
+		t.Fatalf("standby mirror holds epoch %+v, lease %+v; want round 2 and the renewed lease", st.Epoch, st.Lease)
 	}
 }
 

@@ -7,10 +7,10 @@ package main
 // shards reject a coordinator whose lease was taken over (ErrFenced →
 // deposed). The standby mirrors the journal two ways — it polls
 // GET /cluster/state (which also registers it for pushes) and receives
-// best-effort POST /cluster/mirror pushes of every appended record —
-// and when the journaled lease expires unrenewed it bumps the token,
-// opens the journaled shard assignment, and Resumes the in-flight epoch
-// from the journaled round candidates instead of restarting it.
+// best-effort POST /cluster/mirror pushes of the whole state after each
+// append — and when the journaled lease expires unrenewed it bumps the
+// token, opens the journaled shard assignment, and Resumes the in-flight
+// epoch from the journaled round candidates instead of restarting it.
 
 import (
 	"bytes"
@@ -47,7 +47,7 @@ type coordServer struct {
 
 	standbyMu  sync.Mutex
 	standbyURL string
-	mirrorCh   chan []byte // capacity 1: latest-wins coalescing
+	mirrorCh   chan struct{} // capacity 1: coalesced wakeups of mirrorPusher
 }
 
 func newCoordServer(addr string, cf clusterFlags, inj *faultinject.Plan) *coordServer {
@@ -59,7 +59,7 @@ func newCoordServer(addr string, cf clusterFlags, inj *faultinject.Plan) *coordS
 		leaseTTL: ttl,
 		holder:   selfURL(addr),
 		inj:      inj,
-		mirrorCh: make(chan []byte, 1),
+		mirrorCh: make(chan struct{}, 1),
 	}
 }
 
@@ -113,35 +113,25 @@ func (cs *coordServer) renewLoop(ctx context.Context) {
 	}
 }
 
-// mirrorHook is installed as Journal.Mirror: it must not block (it runs
-// under the journal lock), so the capacity-1 channel coalesces — the
-// standby only needs the latest state, and its polling covers any
-// record a push dropped.
-func (cs *coordServer) mirrorHook(rec []byte) {
-	cp := append([]byte(nil), rec...)
-	for {
-		select {
-		case cs.mirrorCh <- cp:
-			return
-		default:
-			select {
-			case <-cs.mirrorCh:
-			default:
-			}
-		}
+// mirrorHook is installed as Journal.Mirror and must not block (it runs
+// under the journal lock): it only wakes mirrorPusher, whose every push
+// carries the whole state, so a coalesced wakeup never loses a record.
+func (cs *coordServer) mirrorHook() {
+	select {
+	case cs.mirrorCh <- struct{}{}:
+	default:
 	}
 }
 
-// mirrorPusher forwards journaled records to the registered standby,
-// best effort.
+// mirrorPusher sends the journal's state to the registered standby after
+// every append, best effort.
 func (cs *coordServer) mirrorPusher(ctx context.Context) {
 	client := &http.Client{Timeout: 2 * time.Second}
 	for {
-		var rec []byte
 		select {
 		case <-ctx.Done():
 			return
-		case rec = <-cs.mirrorCh:
+		case <-cs.mirrorCh:
 		}
 		cs.standbyMu.Lock()
 		target := cs.standbyURL
@@ -149,7 +139,7 @@ func (cs *coordServer) mirrorPusher(ctx context.Context) {
 		if target == "" {
 			continue
 		}
-		resp, err := client.Post(target+"/cluster/mirror", "application/octet-stream", bytes.NewReader(rec))
+		resp, err := client.Post(target+"/cluster/mirror", "application/octet-stream", bytes.NewReader(cs.stateFrames()))
 		if err == nil {
 			io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<10))
 			resp.Body.Close()
@@ -268,9 +258,8 @@ func (cs *coordServer) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleState serves the journal's accumulated state as concatenated
-// length-prefixed frames (lease, assignment, epoch). A standby query
-// parameter registers the caller for mirror pushes.
+// handleState serves the journal's accumulated state (stateFrames). A
+// standby query parameter registers the caller for mirror pushes.
 func (cs *coordServer) handleState(w http.ResponseWriter, r *http.Request) {
 	if cs.journal == nil {
 		http.Error(w, "no state journal (start with -state-dir)", http.StatusServiceUnavailable)
@@ -284,6 +273,13 @@ func (cs *coordServer) handleState(w http.ResponseWriter, r *http.Request) {
 		cs.standbyURL = sb
 		cs.standbyMu.Unlock()
 	}
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Write(cs.stateFrames())
+}
+
+// stateFrames encodes the journal's accumulated state as concatenated
+// length-prefixed frames (lease, assignment, epoch).
+func (cs *coordServer) stateFrames() []byte {
 	st := cs.journal.State()
 	var out []byte
 	if st.Lease != nil {
@@ -295,23 +291,32 @@ func (cs *coordServer) handleState(w http.ResponseWriter, r *http.Request) {
 	if st.Epoch != nil {
 		out = coord.AppendFrame(out, st.Epoch.Encode())
 	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Write(out)
+	return out
 }
 
-// handleMirror accepts one pushed journal record and folds it in; stale
-// records are absorbed silently (the fold is monotone).
+// applyState folds a peer's stateFrames into the journal and returns the
+// first error; stale records are absorbed silently (the fold is monotone).
+func (cs *coordServer) applyState(body []byte) error {
+	frames, err := coord.SplitFrames(body)
+	for _, rec := range frames {
+		if _, aerr := cs.journal.Apply(rec); err == nil {
+			err = aerr
+		}
+	}
+	return err
+}
+
+// handleMirror accepts one pushed state and folds it in.
 func (cs *coordServer) handleMirror(w http.ResponseWriter, r *http.Request) {
 	if cs.journal == nil {
 		http.Error(w, "no state journal", http.StatusServiceUnavailable)
 		return
 	}
 	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<30))
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
+	if err == nil {
+		err = cs.applyState(body)
 	}
-	if _, err := cs.journal.Apply(body); err != nil {
+	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -342,11 +347,7 @@ func (cs *coordServer) standbyLoop(ctx context.Context, cf clusterFlags, inj *fa
 			body, rerr := io.ReadAll(io.LimitReader(resp.Body, 1<<30))
 			resp.Body.Close()
 			if rerr == nil && resp.StatusCode == http.StatusOK {
-				if frames, err := coord.SplitFrames(body); err == nil {
-					for _, rec := range frames {
-						cs.journal.Apply(rec)
-					}
-				}
+				_ = cs.applyState(body) // best effort: the next poll or push retries
 			}
 		}
 		st := cs.journal.State()

@@ -102,7 +102,6 @@ func main() {
 	queue := flag.Int("queue", 256, "admission queue bound")
 	cache := flag.Int("cache", 32, "cached traversals per graph (negative disables)")
 	batchMin := flag.Int("batchmin", 4, "min queued sources that run as one multi-source sweep")
-	linger := flag.Duration("linger", 0, "batching linger: hold an undersized queue until its head has waited this long (0 = immediate)")
 	timeout := flag.Duration("timeout", 5*time.Second, "default per-query deadline")
 	drainTimeout := flag.Duration("draintimeout", 15*time.Second, "graceful drain bound at shutdown")
 	hybrid := flag.Bool("hybrid", false, "direction-optimizing traversal for engines and batched sweeps")
@@ -181,7 +180,6 @@ func main() {
 		MaxQueue:       *queue,
 		CacheEntries:   *cache,
 		BatchThreshold: *batchMin,
-		BatchLinger:    *linger,
 		DefaultTimeout: *timeout,
 		Workers:        *workers,
 		Options:        &opts,

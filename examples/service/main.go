@@ -32,7 +32,6 @@ func main() {
 	}
 	svc := serve.New(serve.Config{
 		BatchThreshold: 4,
-		BatchLinger:    2 * time.Millisecond, // small window to gather batches
 		CacheEntries:   16,
 	})
 	if err := svc.AddGraph("rmat", g); err != nil {

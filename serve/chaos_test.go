@@ -394,15 +394,17 @@ func TestWatchdogFreesStuckTraversal(t *testing.T) {
 
 // TestDeadlineStormReleasesTickets is the regression test for the
 // queued-ticket leak: a storm of queries whose contexts expire while
-// still queued must release every admission ticket, leaving the queue
-// empty and the service accepting fresh work.
+// still queued — both engine slots are held open, so nothing queued can
+// start — must release every admission ticket, leaving the queue empty
+// and the service accepting fresh work.
 func TestDeadlineStormReleasesTickets(t *testing.T) {
-	g := testGraph(t)
-	s := newTestService(t, g, Config{
-		MaxQueue:     8,
-		BatchLinger:  20 * time.Millisecond,
-		CacheEntries: -1,
-		ShedTarget:   -1, // isolate the abandon path from shedding
+	gate := newRunGate(parkAll)
+	s := newGatedService(t, gate, Config{
+		MaxQueue:   8,
+		ShedTarget: -1, // isolate the abandon path from shedding
+		// ... and from the watchdog: the held-open runs outlive their
+		// 1–5 ms budgets by design.
+		WatchdogMult: -1,
 	})
 	var wg sync.WaitGroup
 	for i := 0; i < 200; i++ {
@@ -419,14 +421,16 @@ func TestDeadlineStormReleasesTickets(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	// Every ticket must come back; before the abandon fix, flights whose
-	// waiters all expired while queued pinned the queue full forever.
-	deadline := time.Now().Add(5 * time.Second)
-	for s.QueueDepth() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("leaked admission tickets: queue depth %d after storm", s.QueueDepth())
-		}
-		time.Sleep(5 * time.Millisecond)
+	// Every caller has given up. Only the two held-open runs may still
+	// hold tickets; before the abandon fix, flights whose waiters all
+	// expired while queued pinned the queue full forever.
+	if d := s.QueueDepth(); d > 2 {
+		t.Fatalf("leaked admission tickets: queue depth %d after storm with 2 runs held open", d)
+	}
+	gate.open()
+	waitSched(t, s, sched{})
+	if d := s.QueueDepth(); d != 0 {
+		t.Fatalf("leaked admission tickets: queue depth %d after storm", d)
 	}
 	if _, err := s.Query(context.Background(), Request{Graph: "g", Source: 7}); err != nil {
 		t.Fatalf("fresh query after storm: %v", err)
@@ -440,45 +444,37 @@ func TestDeadlineStormReleasesTickets(t *testing.T) {
 // newcomer is admitted by shedding the oldest queued flight (typed
 // ErrShed) instead of being tail-dropped.
 func TestShedOldestUnderOverload(t *testing.T) {
-	g := testGraph(t)
-	s := newTestService(t, g, Config{
-		MaxQueue:     2,
-		BatchLinger:  300 * time.Millisecond,
-		CacheEntries: -1,
-		ShedTarget:   10 * time.Millisecond,
+	gate := newRunGate(parkAll)
+	s := newGatedService(t, gate, Config{
+		PoolSize:   1,
+		MaxQueue:   3,
+		ShedTarget: 10 * time.Millisecond,
 	})
-	errs := make([]error, 2)
-	release := make(chan struct{})
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			<-release
-			_, errs[i] = s.Query(context.Background(), Request{Graph: "g", Source: uint32(i)})
-		}(i)
-	}
-	close(release)
-	deadline := time.Now().Add(2 * time.Second)
-	for s.QueueDepth() < 2 {
-		if time.Now().After(deadline) {
-			t.Fatal("flights never admitted")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	// One flight holds the only slot; two queue behind it, filling the
+	// admission queue.
+	running := asyncQuery(s, context.Background(), 0)
+	gate.await(t)
+	queued := []<-chan outcome{asyncQuery(s, context.Background(), 1)}
+	waitSched(t, s, sched{running: 1, pending: []uint32{1}})
+	queued = append(queued, asyncQuery(s, context.Background(), 2))
+	waitSched(t, s, sched{running: 1, pending: []uint32{1, 2}})
 	time.Sleep(30 * time.Millisecond) // age the queue past ShedTarget
-	if _, err := s.Query(context.Background(), Request{Graph: "g", Source: 99}); err != nil {
-		t.Fatalf("newcomer rejected despite sheddable queue: %v", err)
+	newcomer := asyncQuery(s, context.Background(), 99)
+	waitSched(t, s, sched{running: 1, pending: []uint32{2, 99}}) // the oldest queued flight is gone
+	gate.open()
+	for name, ch := range map[string]<-chan outcome{"running": running, "newcomer": newcomer} {
+		if o := mustFinish(t, name, ch); o.err != nil {
+			t.Fatalf("%s query: %v", name, o.err)
+		}
 	}
-	wg.Wait()
 	shed := 0
-	for i, err := range errs {
-		switch {
-		case err == nil:
-		case errors.Is(err, ErrShed):
+	for i, ch := range queued {
+		switch o := mustFinish(t, "queued query", ch); {
+		case o.err == nil:
+		case errors.Is(o.err, ErrShed):
 			shed++
 		default:
-			t.Fatalf("queued client %d: unexpected error %v", i, err)
+			t.Fatalf("queued client %d: unexpected error %v", i, o.err)
 		}
 	}
 	if shed != 1 {

@@ -1,67 +1,39 @@
 package serve
 
 import (
-	"context"
-	"errors"
-	"sync"
 	"testing"
-	"time"
 
 	"fastbfs/bfs"
-	"fastbfs/graph/gen"
 )
 
-// TestHybridServiceMatchesSerial drives a hybrid-configured service with
-// enough concurrent load that both paths execute — pooled hybrid engines
-// (small rounds) and direction-optimizing batched sweeps — and checks
+// TestHybridServiceMatchesSerial drives a hybrid-configured service
+// through both paths — pooled hybrid engines (the two singles held open
+// while the rest queue) and one direction-optimizing sweep — and checks
 // every response against the serial reference. The graph is directed, so
 // the shared transpose cache is exercised by both paths.
 func TestHybridServiceMatchesSerial(t *testing.T) {
-	g, err := gen.RMAT(gen.Graph500Params(11, 8), 42)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := testGraph(t)
 	opts := bfs.Default(1)
 	opts.Hybrid = true
-	s := newTestService(t, g, Config{
-		BatchThreshold: 2,
-		BatchLinger:    100 * time.Millisecond,
-		CacheEntries:   -1, // every query goes through the scheduler
-		Options:        &opts,
-	})
+	gate := newRunGate(2)
+	s := newGatedService(t, gate, Config{BatchThreshold: 2, Options: &opts})
 	const clients = 48
 	sources := make([]uint32, clients)
-	wants := make([][]int32, clients)
 	for c := range sources {
 		sources[c] = uint32((c * 211) % g.NumVertices())
-		wants[c] = serialDepths(t, g, sources[c])
 	}
-	var wg sync.WaitGroup
-	errs := make([]error, clients)
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			resp, err := s.Query(context.Background(), Request{Graph: "g", Source: sources[c], AllDepths: true})
-			if err != nil {
-				errs[c] = err
-				return
+	for c, o := range sweepBehindSlots(t, s, gate, sources) {
+		if o.err != nil {
+			t.Fatalf("client %d: %v", c, o.err)
+		}
+		want := serialDepths(t, g, sources[c])
+		for v := range want {
+			if o.resp.Depths[v] != want[v] {
+				t.Fatalf("client %d: hybrid depth mismatch at vertex %d", c, v)
 			}
-			for v := range wants[c] {
-				if resp.Depths[v] != wants[c][v] {
-					errs[c] = errors.New("hybrid depth mismatch")
-					return
-				}
-			}
-		}(c)
-	}
-	wg.Wait()
-	for c, err := range errs {
-		if err != nil {
-			t.Fatalf("client %d: %v", c, err)
 		}
 	}
-	if st := s.Stats(); st.Sweeps == 0 {
-		t.Fatalf("no batched sweeps under hybrid load: %+v", st)
+	if st := s.Stats(); st.Sweeps != 1 || st.EngineRuns != 2 {
+		t.Fatalf("sweeps %d, engine runs %d under hybrid load; want 1 and 2", st.Sweeps, st.EngineRuns)
 	}
 }

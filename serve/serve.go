@@ -36,8 +36,9 @@
 //     Once the queue holds BatchThreshold distinct sources no further
 //     single starts, and when the running ones finish its head runs as
 //     ONE bit-parallel multi-source sweep (internal/msbfs, up to 64
-//     sources) with nothing beside it. Batching is load-adaptive:
-//     arrivals accumulate while every slot is busy or a sweep runs.
+//     sources) with nothing beside it. decide (sched.go) makes each
+//     choice from counts alone, so batching is load-adaptive: arrivals
+//     accumulate while every slot is busy or a sweep runs.
 //   - Engine pool. Per graph, a LIFO stack of up to PoolSize reusable
 //     bfs.Engines (lazily built); the pool relies on the bfs package's
 //     documented engine-reuse contract and ErrEngineBusy guard.
@@ -58,6 +59,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -125,11 +127,6 @@ type Config struct {
 	// BatchThreshold is the minimum number of queued sources that run as
 	// one bit-parallel sweep instead of per-source engines (default 4).
 	BatchThreshold int
-	// BatchLinger, when positive, makes the scheduler hold a queue shorter
-	// than MaxBatch until its head has waited this long, so more sources
-	// can arrive. Zero (the default) favors latency: batching then emerges
-	// purely from arrivals while every slot is busy or a sweep runs.
-	BatchLinger time.Duration
 	// CacheEntries is the per-graph LRU capacity in traversals (each
 	// entry holds an 8-byte word per vertex). Default 32; negative
 	// disables caching.
@@ -342,12 +339,11 @@ type graphState struct {
 	scrubQuarantined bool
 	scrubErr         string
 
-	lastUsed  time.Time
-	flights   map[uint32]*flight // in-flight + queued, by source
-	pending   []*flight          // queued, FIFO
-	running   int                // single-source runs, each holding one of the pool's slots
-	sweeping  bool               // a multi-source sweep is running, alone
-	lingering bool               // the one-shot BatchLinger timer is armed
+	lastUsed time.Time
+	flights  map[uint32]*flight // in-flight + queued, by source
+	pending  []*flight          // queued, FIFO
+	running  int                // single-source runs, each holding one of the pool's slots
+	sweeping bool               // a multi-source sweep is running, alone
 }
 
 // flight is one traversal that one or more queries wait on. All fields
@@ -771,12 +767,7 @@ func (s *Service) abandon(gs *graphState, f *flight) {
 	if f.waiters > 0 || f.started {
 		return
 	}
-	for i, p := range gs.pending {
-		if p == f {
-			gs.pending = append(gs.pending[:i], gs.pending[i+1:]...)
-			break
-		}
-	}
+	gs.pending = slices.DeleteFunc(gs.pending, func(p *flight) bool { return p == f })
 	s.stats.abandoned.Add(1)
 	s.resolveLocked(gs, f, nil, context.Canceled)
 	s.scheduleLocked(gs) // a shorter queue may no longer be waiting to sweep
@@ -813,35 +804,19 @@ func (s *Service) shedOldestLocked() bool {
 
 // scheduleLocked is the whole scheduler: it starts whatever gs.pending
 // and the free engine slots allow, called under s.mu from the events that
-// can change that — a flight enqueued or abandoned, a run finished, the
-// BatchLinger timer fired. Singles start FIFO while a slot is free; a
-// queue of BatchThreshold sources waits for them and runs as one sweep.
+// can change that — a flight enqueued or abandoned, a run finished. decide
+// (sched.go) makes each choice from counts; this loop carries it out,
+// taking the queue's head FIFO.
 func (s *Service) scheduleLocked(gs *graphState) {
 	now := time.Now()
-	for len(gs.pending) > 0 && !gs.sweeping {
-		if wait := s.cfg.BatchLinger - now.Sub(gs.pending[0].enqueued); wait > 0 && len(gs.pending) < s.cfg.MaxBatch {
-			if !gs.lingering {
-				gs.lingering = true
-				time.AfterFunc(wait, func() {
-					s.mu.Lock()
-					gs.lingering = false
-					s.scheduleLocked(gs)
-					s.mu.Unlock()
-				})
-			}
+	for {
+		k, sweep := decide(len(gs.pending), gs.batchWidth, s.cfg.BatchThreshold, gs.running, gs.pool.Size(), gs.sweeping)
+		if k == 0 {
 			return
 		}
-		k := min(len(gs.pending), gs.batchWidth)
-		sweep := k >= s.cfg.BatchThreshold && k > 1
-		switch {
-		case sweep && gs.running > 0:
-			return // a sweep runs alone: the last single to finish starts it
-		case sweep:
+		if sweep {
 			gs.sweeping = true
-		case gs.running == gs.pool.Size():
-			return // every slot busy: the next finish reschedules
-		default:
-			k = 1
+		} else {
 			gs.running++
 		}
 		run := append([]*flight(nil), gs.pending[:k]...)

@@ -75,7 +75,7 @@ func TestQueryMatchesSerial(t *testing.T) {
 // receive depths identical to the serial reference.
 func TestConcurrentDistinctSourcesMatchSerial(t *testing.T) {
 	g := testGraph(t)
-	s := newTestService(t, g, Config{BatchThreshold: 4, BatchLinger: 5 * time.Millisecond})
+	s := newTestService(t, g, Config{BatchThreshold: 4})
 	const clients = 32
 	sources := make([]uint32, clients)
 	wants := make([][]int32, clients)
@@ -110,99 +110,60 @@ func TestConcurrentDistinctSourcesMatchSerial(t *testing.T) {
 	}
 }
 
-// TestBatchedSweepServesLoad drives enough concurrent load through a
-// lingering dispatcher that queries are served by multi-source sweeps,
-// and checks their results against the serial reference.
+// TestBatchedSweepServesLoad holds both engine slots busy while the rest
+// of 64 concurrent queries queue, so the queue runs as one multi-source
+// sweep, and checks every result against the serial reference.
 func TestBatchedSweepServesLoad(t *testing.T) {
 	g := testGraph(t)
-	s := newTestService(t, g, Config{
-		BatchThreshold: 2,
-		BatchLinger:    100 * time.Millisecond,
-		CacheEntries:   -1, // force every query through the scheduler
-	})
+	gate := newRunGate(2)
+	s := newGatedService(t, gate, Config{BatchThreshold: 2})
 	const clients = 64
 	sources := make([]uint32, clients)
-	wants := make([][]int32, clients)
 	for c := range sources {
 		sources[c] = uint32((c * 131) % g.NumVertices())
-		wants[c] = serialDepths(t, g, sources[c])
 	}
-	var wg sync.WaitGroup
-	errs := make([]error, clients)
-	batched := make([]bool, clients)
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			resp, err := s.Query(context.Background(), Request{Graph: "g", Source: sources[c], AllDepths: true})
-			if err != nil {
-				errs[c] = err
-				return
+	for c, o := range sweepBehindSlots(t, s, gate, sources) {
+		if o.err != nil {
+			t.Fatalf("client %d: %v", c, o.err)
+		}
+		if want := c >= 2; o.resp.Batched != want {
+			t.Errorf("client %d: batched = %v, want %v", c, o.resp.Batched, want)
+		}
+		want := serialDepths(t, g, sources[c])
+		for v := range want {
+			if o.resp.Depths[v] != want[v] {
+				t.Fatalf("client %d: depth mismatch in batched result at vertex %d", c, v)
 			}
-			batched[c] = resp.Batched
-			for v := range wants[c] {
-				if resp.Depths[v] != wants[c][v] {
-					errs[c] = errors.New("depth mismatch in batched result")
-					return
-				}
-			}
-		}(c)
-	}
-	wg.Wait()
-	for c, err := range errs {
-		if err != nil {
-			t.Fatalf("client %d: %v", c, err)
 		}
 	}
-	st := s.Stats()
-	if st.Sweeps == 0 || st.BatchedQueries == 0 {
-		t.Fatalf("no batched sweeps under load: %+v", st)
-	}
-	anyBatched := false
-	for _, b := range batched {
-		anyBatched = anyBatched || b
-	}
-	if !anyBatched {
-		t.Error("no response was marked batched")
+	if st := s.Stats(); st.Sweeps != 1 || st.BatchedQueries != clients-2 || st.EngineRuns != 2 {
+		t.Fatalf("sweeps %d, batched %d, engine runs %d; want 1, %d, 2", st.Sweeps, st.BatchedQueries, st.EngineRuns, clients-2)
 	}
 }
 
-// TestOverloadRejected fills the admission queue while the dispatcher
-// lingers and checks the overflow query is rejected distinctly.
+// TestOverloadRejected fills the admission queue — one flight running
+// (held open), one queued behind it — and checks the overflow query is
+// rejected distinctly.
 func TestOverloadRejected(t *testing.T) {
-	g := testGraph(t)
-	s := newTestService(t, g, Config{
-		MaxQueue:     2,
-		BatchLinger:  300 * time.Millisecond,
-		CacheEntries: -1,
-		ShedTarget:   time.Minute, // the queued flights stay "fresh": pure tail drop
+	gate := newRunGate(parkAll)
+	s := newGatedService(t, gate, Config{
+		PoolSize:   1,
+		MaxQueue:   2,
+		ShedTarget: time.Minute, // the queued flight stays "fresh": pure tail drop
 	})
-	release := make(chan struct{})
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func(src uint32) {
-			defer wg.Done()
-			<-release
-			_, err := s.Query(context.Background(), Request{Graph: "g", Source: src})
-			if err != nil {
-				t.Errorf("admitted query failed: %v", err)
-			}
-		}(uint32(i))
-	}
-	close(release)
-	// Wait until both flights are admitted (queued, dispatcher lingering).
-	deadline := time.Now().Add(2 * time.Second)
-	for s.QueueDepth() < 2 {
-		if time.Now().After(deadline) {
-			t.Fatal("flights never admitted")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	a := asyncQuery(s, context.Background(), 0)
+	gate.await(t)
+	b := asyncQuery(s, context.Background(), 1)
+	waitSched(t, s, sched{running: 1, pending: []uint32{1}})
 	if _, err := s.Query(context.Background(), Request{Graph: "g", Source: 99}); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("overflow query: err = %v, want ErrOverloaded", err)
 	}
-	wg.Wait()
+	gate.open()
+	for name, ch := range map[string]<-chan outcome{"A": a, "B": b} {
+		if o := mustFinish(t, name, ch); o.err != nil {
+			t.Errorf("admitted query %s failed: %v", name, o.err)
+		}
+	}
 	if st := s.Stats(); st.Rejected == 0 {
 		t.Errorf("rejection not counted: %+v", st)
 	}
