@@ -89,6 +89,17 @@ func (tc *testCluster) faults() (lost, dups int) {
 	return lost, dups
 }
 
+// loseReplies gives every proxy a plan that loses each reply with
+// probability prob, proxy i rolling under seed+i.
+func (tc *testCluster) loseReplies(seed uint64, prob float64) *testCluster {
+	for i, p := range tc.proxies {
+		p.plan = &faultinject.Plan{Seed: seed + uint64(i), Rules: map[faultinject.Site]faultinject.Rule{
+			siteProxyLose: {FaultProb: prob},
+		}}
+	}
+	return tc
+}
+
 // The sites of a restartProxy's plan. Decisions are keyed by the
 // proxy's expand sequence number (1, 2, ...), so a seed replays the same
 // faults on the same requests whatever the goroutine schedule.
@@ -106,7 +117,8 @@ const (
 // processed — its checkpoint lands — but the response is dropped),
 // serves failWhileDown 500s, then either comes back as reborn (a fresh
 // Shard, e.g. restored from checkpoint) or stays dead forever. A plan,
-// when set, also loses, delays or duplicates expand requests.
+// when set, also loses, delays or duplicates expand requests, and
+// onExpand loses the replies a test picks by hand.
 type restartProxy struct {
 	t       testing.TB
 	mu      sync.Mutex
@@ -119,6 +131,11 @@ type restartProxy struct {
 	killAt        int // 0 = never fail
 	failWhileDown int // 500s served before rebirth; <0 = dead forever
 	reborn        func() http.Handler
+
+	// onExpand, when set, sees each expand's sequence number first, and
+	// may cancel a run's context. Returning true loses that reply, as
+	// siteProxyLose does, while health probes keep answering.
+	onExpand func(expand int) (lose bool)
 
 	down   bool
 	failed int
@@ -148,6 +165,7 @@ func (p *restartProxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	p.expands++
 	key := uint64(p.expands)
+	hooked := p.onExpand != nil && p.onExpand(p.expands)
 	lose := p.plan.Decide(siteProxyLose, key)
 	// Slept under p.mu, like the shard's own injected delay: the whole
 	// shard is slow, health probes included.
@@ -159,7 +177,7 @@ func (p *restartProxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		p.inner.ServeHTTP(httptest.NewRecorder(), r)
 		p.down = true
 		http.Error(w, "injected: crashed before replying", http.StatusInternalServerError)
-	case lose.Fault():
+	case lose.Fault() || hooked:
 		p.inner.ServeHTTP(httptest.NewRecorder(), r)
 		p.lost++
 		http.Error(w, "injected: reply lost", http.StatusInternalServerError)
@@ -229,10 +247,17 @@ func assertExactDepths(t *testing.T, res *Result, want []int32) {
 	if len(res.Depth) != len(want) {
 		t.Fatalf("depth array covers %d vertices, want %d", len(res.Depth), len(want))
 	}
+	var visited int64
 	for v := range want {
 		if res.Depth[v] != want[v] {
 			t.Fatalf("vertex %d: distributed depth %d, serial %d", v, res.Depth[v], want[v])
 		}
+		if want[v] >= 0 {
+			visited++
+		}
+	}
+	if res.Visited != visited {
+		t.Fatalf("visited %d vertices, serial BFS reaches %d", res.Visited, visited)
 	}
 }
 
@@ -343,12 +368,7 @@ func TestCrashAndReplyLossExact(t *testing.T) {
 	}
 	want, _ := serialDepths(t, g, 0)
 	dirs := []string{t.TempDir(), t.TempDir(), t.TempDir(), t.TempDir()}
-	tc := newTestCluster(t, g, 4, 1, dirs, nil)
-	for i, p := range tc.proxies {
-		p.plan = &faultinject.Plan{Seed: 9 + uint64(i), Rules: map[faultinject.Site]faultinject.Rule{
-			siteProxyLose: {FaultProb: 0.05},
-		}}
-	}
+	tc := newTestCluster(t, g, 4, 1, dirs, nil).loseReplies(9, 0.05)
 	tc.proxies[1].script(2, 2, func() http.Handler {
 		s, err := NewShard(g, 1, 4, dirs[1], nil)
 		if err != nil {

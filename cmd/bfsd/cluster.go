@@ -50,7 +50,6 @@ import (
 	"fastbfs/cluster/coord"
 	"fastbfs/graph"
 	"fastbfs/graph/gen"
-	"fastbfs/internal/faultinject"
 )
 
 // clusterFlags carries the cluster-mode command line.
@@ -72,14 +71,6 @@ type clusterFlags struct {
 	maxAttempts    int
 	hedgeAfter     time.Duration
 	auditReplicas  bool
-
-	chaosSeed         uint64
-	chaosSendProb     float64
-	chaosExpandProb   float64
-	chaosExpandDelay  time.Duration
-	chaosFailoverProb float64
-	chaosDivergeProb  float64
-	chaosStallDelay   time.Duration
 }
 
 // signalContext is the shared SIGINT/SIGTERM context for the blocking
@@ -141,29 +132,6 @@ func probeDirWritable(dir string) error {
 	return cerr
 }
 
-// shardInjector builds the shard-side chaos plan from the flags.
-func shardInjector(cf clusterFlags) *faultinject.Plan {
-	rules := map[faultinject.Site]faultinject.Rule{}
-	if cf.chaosExpandProb > 0 {
-		rules[faultinject.SiteShardExpand] = faultinject.Rule{FaultProb: cf.chaosExpandProb}
-		log.Printf("chaos: failing %.0f%% of expand rounds (seed %d)", 100*cf.chaosExpandProb, cf.chaosSeed)
-	}
-	if cf.chaosExpandDelay > 0 {
-		r := rules[faultinject.SiteShardExpand]
-		r.DelayProb, r.MaxDelay = 1, cf.chaosExpandDelay
-		rules[faultinject.SiteShardExpand] = r
-		log.Printf("chaos: delaying every expand round by up to %v (seed %d)", cf.chaosExpandDelay, cf.chaosSeed)
-	}
-	if cf.chaosStallDelay > 0 {
-		rules[faultinject.SiteShardStall] = faultinject.Rule{DelayProb: 1, MaxDelay: cf.chaosStallDelay}
-		log.Printf("chaos: stalling every expand round by up to %v with heartbeats healthy (seed %d)", cf.chaosStallDelay, cf.chaosSeed)
-	}
-	if len(rules) == 0 {
-		return nil
-	}
-	return &faultinject.Plan{Seed: cf.chaosSeed, Rules: rules}
-}
-
 // runShardMode serves one partition of the cluster: the shard API plus
 // /healthz and a /readyz that reports replica role, checkpoint position
 // and checkpoint-dir writability. Blocks until SIGINT/SIGTERM.
@@ -171,7 +139,7 @@ func runShardMode(addr string, cf clusterFlags, g *graph.Graph) error {
 	if cf.shards < 1 || cf.shardID >= cf.shards {
 		return fmt.Errorf("-shard-id %d requires -shards > %d", cf.shardID, cf.shardID)
 	}
-	s, err := coord.NewReplicaShard(g, cf.shardID, cf.replicaID, cf.shards, cf.ckptDir, shardInjector(cf))
+	s, err := coord.NewReplicaShard(g, cf.shardID, cf.replicaID, cf.shards, cf.ckptDir, nil)
 	if err != nil {
 		return err
 	}
@@ -297,8 +265,7 @@ type clusterBFSResponse struct {
 // state so a -standby-of coordinator can take over. Blocks until
 // SIGINT/SIGTERM.
 func runCoordinatorMode(addr string, cf clusterFlags) error {
-	inj := coordInjector(cf)
-	cs := newCoordServer(addr, cf, inj)
+	cs := newCoordServer(addr, cf)
 	if cf.stateDir != "" {
 		j, err := openCoordJournal(cf.stateDir)
 		if err != nil {
@@ -379,7 +346,7 @@ func runCoordinatorMode(addr string, cf clusterFlags) error {
 				return
 			}
 		}
-		cfg := clusterCoordConfig(cf, inj)
+		cfg := clusterCoordConfig(cf)
 		cfg.Shards = urls
 		if err := cs.activate(ctx, cfg); err != nil {
 			if errors.Is(err, coord.ErrFenced) {

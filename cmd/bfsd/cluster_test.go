@@ -15,10 +15,15 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
+	"net/http/httputil"
+	"net/url"
 	"os"
 	"os/exec"
 	"strconv"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -95,29 +100,76 @@ func startShard(t *testing.T, addr string, id, shards, scale int, ckptDir string
 	return d
 }
 
-// startCluster brings up nshards shard processes plus a coordinator and
-// waits until the cluster is assembled. ckptDirs may be nil.
-func startCluster(t *testing.T, nshards, scale int, ckptDirs []string, coordArgs ...string) (*daemon, []*daemon) {
+// startShards launches groups x replicas shard processes (group-major),
+// waits until each is ready, and returns them with the comma-separated
+// URL list a coordinator's -coordinate takes. ckptDirs may be nil.
+// front, when non-nil, maps shard i's address to the URL the
+// coordinator is given in its place (a test-owned proxy).
+func startShards(t *testing.T, groups, replicas, scale int, ckptDirs []string, front func(i int, addr string) string) ([]*daemon, string) {
 	t.Helper()
-	shards := make([]*daemon, nshards)
-	urls := ""
+	shards := make([]*daemon, groups*replicas)
+	urls := make([]string, len(shards))
 	for i := range shards {
 		dir := ""
 		if ckptDirs != nil {
 			dir = ckptDirs[i]
 		}
-		shards[i] = startShard(t, freePort(t), i, nshards, scale, dir)
-		if i > 0 {
-			urls += ","
+		shards[i] = startShard(t, freePort(t), i/replicas, groups, scale, dir, "-replica-id", strconv.Itoa(i%replicas))
+		urls[i] = "http://" + shards[i].addr
+		if front != nil {
+			urls[i] = front(i, shards[i].addr)
 		}
-		urls += "http://" + shards[i].addr
 	}
 	for _, s := range shards {
 		s.waitReady(t)
 	}
-	co := startDaemon(t, append([]string{"-coordinate", urls}, coordArgs...)...)
+	return shards, strings.Join(urls, ",")
+}
+
+// startCluster brings up groups x replicas shard processes plus a
+// coordinator and waits until the cluster is assembled. ckptDirs and
+// front are as for startShards.
+func startCluster(t *testing.T, groups, replicas, scale int, ckptDirs []string, front func(i int, addr string) string, coordArgs ...string) (*daemon, []*daemon) {
+	t.Helper()
+	shards, urls := startShards(t, groups, replicas, scale, ckptDirs, front)
+	co := startDaemon(t, append([]string{"-coordinate", urls, "-replicas", strconv.Itoa(replicas)}, coordArgs...)...)
 	co.waitReady(t)
 	return co, shards
+}
+
+// proxyShard starts a test-owned reverse proxy in front of the shard
+// process at addr and returns the URL to give the coordinator in the
+// shard's place. configure, when non-nil, customises the proxy before
+// it serves its first request.
+func proxyShard(t *testing.T, addr string, configure func(*httputil.ReverseProxy)) string {
+	t.Helper()
+	p := httputil.NewSingleHostReverseProxy(&url.URL{Scheme: "http", Host: addr})
+	if configure != nil {
+		configure(p)
+	}
+	srv := httptest.NewServer(p)
+	t.Cleanup(srv.Close)
+	return srv.URL
+}
+
+// isExpand reports whether r is a round message.
+func isExpand(r *http.Request) bool { return strings.HasSuffix(r.URL.Path, "/shard/expand") }
+
+// signalFailedExpands makes p answer 502 and signal the returned
+// channel whenever it cannot forward a round message because the shard
+// behind it is down. A request the coordinator cancelled is not one.
+func signalFailedExpands(p *httputil.ReverseProxy) <-chan struct{} {
+	failed := make(chan struct{}, 1)
+	p.ErrorHandler = func(w http.ResponseWriter, r *http.Request, err error) {
+		if isExpand(r) && r.Context().Err() == nil {
+			select {
+			case failed <- struct{}{}:
+			default:
+			}
+		}
+		w.WriteHeader(http.StatusBadGateway)
+	}
+	return failed
 }
 
 // clusterBFS posts one query and decodes the reply; 206 (degraded) is
@@ -160,13 +212,12 @@ func assertClusterExact(t *testing.T, res *clusterBFSResponse, want []int32) {
 }
 
 // TestClusterExactDepths: a real 3-process cluster answers with exactly
-// the serial BFS depths, level sizes included, for multiple sources —
-// and stays exact when the coordinator's send path drops a fifth of its
-// round messages (deterministic chaos).
+// the serial BFS depths, level sizes included, for multiple sources.
+// Send loss is drilled in-process (cluster/coord TestChaoticWireStillExact).
 func TestClusterExactDepths(t *testing.T) {
 	scale := clusterScale(t)
 	g := clusterGraph(t, scale)
-	co, _ := startCluster(t, 3, scale, nil)
+	co, _ := startCluster(t, 3, 1, scale, nil, nil)
 	for _, source := range []uint32{0, 2} {
 		want := serialClusterDepths(t, g, source)
 		res, status := clusterBFS(t, co, source, true)
@@ -192,17 +243,6 @@ func TestClusterExactDepths(t *testing.T) {
 			}
 		}
 	}
-
-	t.Run("chaotic-send", func(t *testing.T) {
-		coChaos, _ := startCluster(t, 3, scale, nil,
-			"-chaos-send-prob", "0.2", "-chaos-seed", "99", "-max-attempts", "8")
-		want := serialClusterDepths(t, g, 1)
-		res, _ := clusterBFS(t, coChaos, 1, true)
-		assertClusterExact(t, res, want)
-		if res.Retries == 0 {
-			t.Fatal("chaos plan produced no retries; injection is not reaching the send path")
-		}
-	})
 }
 
 // TestClusterShardSIGKILLRecovery: while a stream of queries runs, one
@@ -215,71 +255,52 @@ func TestClusterShardSIGKILLRecovery(t *testing.T) {
 	g := clusterGraph(t, scale)
 	want := serialClusterDepths(t, g, 0)
 	dirs := []string{t.TempDir(), t.TempDir(), t.TempDir()}
-	co, shards := startCluster(t, 3, scale, dirs,
-		"-recovery-budget", "30s", "-heartbeat", "50ms")
-
-	var (
-		wg         sync.WaitGroup
-		stop       = make(chan struct{})
-		mu         sync.Mutex
-		queries    int
-		recoveries int
-		failure    error
-	)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			res, status := clusterBFSNoFatal(co, 0)
-			mu.Lock()
-			queries++
-			switch {
-			case res == nil:
-				failure = fmt.Errorf("query failed with HTTP %d", status)
-			case res.Incomplete:
-				failure = fmt.Errorf("query degraded (dead shards %v) though the shard came back in budget", res.DeadShards)
-			default:
-				for v := range want {
-					if res.Depth[v] != want[v] {
-						failure = fmt.Errorf("vertex %d: depth %d after recovery, serial %d", v, res.Depth[v], want[v])
-						break
-					}
-				}
-				if res.Retries > 0 || res.EpochRestarts > 0 {
-					recoveries++
-				}
-			}
-			done := failure != nil
-			mu.Unlock()
-			if done {
-				return
-			}
+	// The coordinator reaches the victim through a proxy, which holds a
+	// round message while the test kills the shard and then reports the
+	// message failing against it.
+	gate := newExpandGate()
+	defer gate.release() // before the proxy closes: it waits for it
+	var failed <-chan struct{}
+	co, shards := startCluster(t, 3, 1, scale, dirs, func(i int, addr string) string {
+		if i != 1 {
+			return "http://" + addr
 		}
-	}()
+		return proxyShard(t, addr, func(p *httputil.ReverseProxy) {
+			gate.install(p)
+			failed = signalFailedExpands(p)
+		})
+	}, "-recovery-budget", "30s", "-heartbeat", "50ms")
 
-	// Let at least one healthy query land, then SIGKILL shard 1 mid-
-	// stream, leave it dead long enough for in-flight rounds to start
-	// retrying, and relaunch it from its checkpoint directory.
-	time.Sleep(150 * time.Millisecond)
+	stream := startQueryStream(co, func(res *clusterBFSResponse, status int) (bool, error) {
+		switch {
+		case res == nil:
+			return false, fmt.Errorf("query failed with HTTP %d", status)
+		case res.Incomplete:
+			return false, fmt.Errorf("query degraded (dead shards %v) though the shard came back in budget", res.DeadShards)
+		}
+		if err := depthMismatch(res, want); err != nil {
+			return false, fmt.Errorf("after recovery: %w", err)
+		}
+		return res.Retries > 0 || res.EpochRestarts > 0, nil
+	})
+
+	// Let a healthy query land, SIGKILL shard 1 while a round message to
+	// it is held, and relaunch it from its checkpoint directory once that
+	// message has failed: the query holding that round is retrying.
+	stream.await(t, 1)
+	gate.armed.Store(true)
+	stream.wait(t, gate.parked, "a round message to hold")
 	victim := shards[1]
 	victim.kill(t)
-	time.Sleep(400 * time.Millisecond)
+	gate.release()
+	stream.wait(t, failed, "the held round message failing against the killed shard")
 	reborn := startShard(t, victim.addr, 1, 3, scale, dirs[1])
 	reborn.waitReady(t)
 
-	// Give the stream time to push queries through the recovered
-	// cluster, then stop it.
-	time.Sleep(1 * time.Second)
-	close(stop)
-	wg.Wait()
-
-	mu.Lock()
-	defer mu.Unlock()
+	// The query caught by the crash finishes, and one more runs wholly
+	// on the recovered cluster.
+	stream.await(t, 2)
+	queries, recoveries, failure := stream.finish()
 	if failure != nil {
 		t.Fatalf("%v\ncoordinator logs:\n%s\nvictim logs:\n%s", failure, co.logs, victim.logs)
 	}
@@ -290,6 +311,144 @@ func TestClusterShardSIGKILLRecovery(t *testing.T) {
 		t.Fatalf("none of %d queries observed retries or epoch restarts; the kill was invisible (logs:\n%s)", queries, co.logs)
 	}
 	t.Logf("%d queries, %d saw recovery machinery engage", queries, recoveries)
+}
+
+// depthMismatch reports the first vertex whose depth in res differs
+// from want.
+func depthMismatch(res *clusterBFSResponse, want []int32) error {
+	for v := range want {
+		if res.Depth[v] != want[v] {
+			return fmt.Errorf("vertex %d: depth %d, serial %d", v, res.Depth[v], want[v])
+		}
+	}
+	return nil
+}
+
+// expandGate, once armed, parks the first round message of round 1 or
+// later that reaches any proxy it is installed in, until released.
+type expandGate struct {
+	armed  atomic.Bool
+	parked chan struct{} // closed once a message is parked
+	hold   chan struct{}
+	once   sync.Once
+}
+
+func newExpandGate() *expandGate {
+	return &expandGate{parked: make(chan struct{}), hold: make(chan struct{})}
+}
+
+func (g *expandGate) release() { g.once.Do(func() { close(g.hold) }) }
+
+// install makes p consult the gate before forwarding each request.
+func (g *expandGate) install(p *httputil.ReverseProxy) {
+	forward := p.Director
+	p.Director = func(r *http.Request) {
+		forward(r)
+		if !g.armed.Load() || !isExpand(r) || r.Body == nil {
+			return
+		}
+		body, err := io.ReadAll(r.Body)
+		r.Body = io.NopCloser(bytes.NewReader(body))
+		if err != nil {
+			return
+		}
+		if f, err := coord.DecodeFrontier(body); err == nil && f.Round >= 1 && g.armed.CompareAndSwap(true, false) {
+			close(g.parked)
+			<-g.hold
+		}
+	}
+}
+
+// queryStream runs source-0 queries back to back against a coordinator
+// until finished, tallying what its check reports.
+type queryStream struct {
+	progress chan struct{} // a token after each completed query
+	stop     chan struct{}
+	done     chan struct{} // closed when the stream goroutine exits
+
+	mu      sync.Mutex
+	queries int
+	engaged int
+	failure error
+}
+
+// startQueryStream starts a stream against co. check judges each reply:
+// an error ends the stream, and engaged counts the replies that show
+// recovery at work.
+func startQueryStream(co *daemon, check func(res *clusterBFSResponse, status int) (engaged bool, err error)) *queryStream {
+	s := &queryStream{
+		progress: make(chan struct{}, 1),
+		stop:     make(chan struct{}),
+		done:     make(chan struct{}),
+	}
+	go func() {
+		defer close(s.done)
+		for {
+			select {
+			case <-s.stop:
+				return
+			default:
+			}
+			engaged, err := check(clusterBFSNoFatal(co, 0))
+			s.mu.Lock()
+			s.queries++
+			if engaged {
+				s.engaged++
+			}
+			s.failure = err
+			s.mu.Unlock()
+			if err != nil {
+				return
+			}
+			select {
+			case s.progress <- struct{}{}:
+			default:
+			}
+		}
+	}()
+	return s
+}
+
+func (s *queryStream) completed() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.queries
+}
+
+// await blocks until n more queries have completed.
+func (s *queryStream) await(t *testing.T, n int) {
+	t.Helper()
+	target := s.completed() + n
+	for s.completed() < target {
+		s.wait(t, s.progress, fmt.Sprintf("query %d to complete", target))
+	}
+}
+
+// wait blocks until ch fires. It fails the test if the stream stops
+// first (a query failed) or a minute passes.
+func (s *queryStream) wait(t *testing.T, ch <-chan struct{}, what string) {
+	t.Helper()
+	select {
+	case <-ch:
+	case <-s.done:
+		_, _, failure := s.finish()
+		t.Fatalf("query stream stopped while waiting for %s: %v", what, failure)
+	case <-time.After(time.Minute):
+		t.Fatalf("waited a minute for %s", what)
+	}
+}
+
+// finish stops the stream and returns its tallies.
+func (s *queryStream) finish() (queries, engaged int, failure error) {
+	select {
+	case <-s.stop:
+	default:
+		close(s.stop)
+	}
+	<-s.done
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.queries, s.engaged, s.failure
 }
 
 // clusterBFSNoFatal is clusterBFS for goroutines: returns nil on any
@@ -320,7 +479,7 @@ func TestClusterDegradedPartialResult(t *testing.T) {
 	scale := clusterScale(t)
 	g := clusterGraph(t, scale)
 	serial := serialClusterDepths(t, g, 0)
-	co, shards := startCluster(t, 3, scale, nil,
+	co, shards := startCluster(t, 3, 1, scale, nil, nil,
 		"-recovery-budget", "500ms", "-max-attempts", "2", "-heartbeat", "50ms")
 
 	res, status := clusterBFS(t, co, 0, true) // healthy baseline

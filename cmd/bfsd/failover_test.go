@@ -15,10 +15,12 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httputil"
 	"os"
 	"os/exec"
 	"strconv"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -55,34 +57,6 @@ func stopAndLogs(d *daemon) string {
 	return d.logs.String()
 }
 
-// startReplicaCluster launches groups x replicas shard processes
-// (group-major) plus a coordinator with -replicas, and waits for
-// assembly.
-func startReplicaCluster(t *testing.T, groups, replicas, scale int, shardExtra []string, coordArgs ...string) (*daemon, []*daemon) {
-	t.Helper()
-	var shards []*daemon
-	urls := ""
-	for g := 0; g < groups; g++ {
-		for r := 0; r < replicas; r++ {
-			extra := append([]string{"-replica-id", strconv.Itoa(r)}, shardExtra...)
-			s := startShard(t, freePort(t), g, groups, scale, "", extra...)
-			if len(shards) > 0 {
-				urls += ","
-			}
-			urls += "http://" + s.addr
-			shards = append(shards, s)
-		}
-	}
-	for _, s := range shards {
-		s.waitReady(t)
-	}
-	co := startDaemon(t, append([]string{
-		"-coordinate", urls, "-replicas", strconv.Itoa(replicas),
-	}, coordArgs...)...)
-	co.waitReady(t)
-	return co, shards
-}
-
 // TestClusterReplicaFailover: with R=2, SIGKILLing one replica mid-
 // query-stream costs nothing — every query that completes carries exact
 // depths over HTTP 200, with the coordinator recording failovers
@@ -92,8 +66,15 @@ func TestClusterReplicaFailover(t *testing.T) {
 	scale := clusterScale(t)
 	g := clusterGraph(t, scale)
 	want := serialClusterDepths(t, g, 0)
-	co, shards := startReplicaCluster(t, 2, 2, scale, nil,
-		"-recovery-budget", "1s", "-max-attempts", "2", "-heartbeat", "50ms")
+	// The coordinator reaches the victim through a proxy, which reports
+	// the first round message that finds it dead.
+	var failed <-chan struct{}
+	co, shards := startCluster(t, 2, 2, scale, nil, func(i int, addr string) string {
+		if i != 0 {
+			return "http://" + addr
+		}
+		return proxyShard(t, addr, func(p *httputil.ReverseProxy) { failed = signalFailedExpands(p) })
+	}, "-recovery-budget", "1s", "-max-attempts", "2", "-heartbeat", "50ms")
 
 	res, status := clusterBFS(t, co, 0, true)
 	if status != http.StatusOK {
@@ -101,64 +82,30 @@ func TestClusterReplicaFailover(t *testing.T) {
 	}
 	assertClusterExact(t, res, want)
 
-	var (
-		wg        sync.WaitGroup
-		stop      = make(chan struct{})
-		mu        sync.Mutex
-		queries   int
-		failovers int
-		failure   error
-	)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			res, status := clusterBFSNoFatal(co, 0)
-			mu.Lock()
-			queries++
-			switch {
-			case res == nil:
-				failure = fmt.Errorf("query failed with HTTP %d", status)
-			case status != http.StatusOK || res.Incomplete:
-				failure = fmt.Errorf("query degraded (HTTP %d, dead groups %v) though a replica survives", status, res.DeadShards)
-			default:
-				for v := range want {
-					if res.Depth[v] != want[v] {
-						failure = fmt.Errorf("vertex %d: depth %d after failover, serial %d", v, res.Depth[v], want[v])
-						break
-					}
-				}
-				if res.Failovers > 0 {
-					failovers++
-				}
-			}
-			done := failure != nil
-			mu.Unlock()
-			if done {
-				return
-			}
+	stream := startQueryStream(co, func(res *clusterBFSResponse, status int) (bool, error) {
+		switch {
+		case res == nil:
+			return false, fmt.Errorf("query failed with HTTP %d", status)
+		case status != http.StatusOK || res.Incomplete:
+			return false, fmt.Errorf("query degraded (HTTP %d, dead groups %v) though a replica survives", status, res.DeadShards)
 		}
-	}()
+		if err := depthMismatch(res, want); err != nil {
+			return false, fmt.Errorf("after failover: %w", err)
+		}
+		return res.Failovers > 0, nil
+	})
 
 	// SIGKILL group 0's primary replica mid-stream; it never comes back.
-	time.Sleep(150 * time.Millisecond)
+	// The query whose round failed against it fails over, and one more
+	// runs after it.
+	stream.await(t, 1)
 	shards[0].kill(t)
-	time.Sleep(2500 * time.Millisecond)
-	close(stop)
-	wg.Wait()
-
-	mu.Lock()
+	stream.wait(t, failed, "a round message failing against the killed replica")
+	stream.await(t, 2)
+	q, f, failure := stream.finish()
 	if failure != nil {
-		mu.Unlock()
 		t.Fatalf("%v\ncoordinator logs:\n%s", failure, co.logs)
 	}
-	q, f := queries, failovers
-	mu.Unlock()
 	if q < 2 {
 		t.Fatalf("only %d queries completed; stream never straddled the kill", q)
 	}
@@ -188,27 +135,18 @@ func TestClusterStandbyTakeover(t *testing.T) {
 	scale := clusterScale(t)
 	g := clusterGraph(t, scale)
 	want := serialClusterDepths(t, g, 0)
-	// The expand delay slows rounds so the SIGKILL lands mid-epoch.
-	var shards []*daemon
-	urls := ""
-	for i := 0; i < 2; i++ {
-		s := startShard(t, freePort(t), i, 2, scale, "", "-chaos-expand-delay", "100ms")
-		if i > 0 {
-			urls += ","
-		}
-		urls += "http://" + s.addr
-		shards = append(shards, s)
-	}
-	for _, s := range shards {
-		s.waitReady(t)
-	}
+	// The coordinator reaches the shards through proxies that, once
+	// armed, hold a round message back, so the SIGKILL lands mid-epoch.
+	gate := newExpandGate()
+	defer gate.release() // before the proxies close: they wait for it
+	_, urls := startShards(t, 2, 1, scale, nil, func(_ int, addr string) string {
+		return proxyShard(t, addr, gate.install)
+	})
 	active := startDaemon(t, "-coordinate", urls,
 		"-state-dir", t.TempDir(), "-lease-ttl", "1s", "-heartbeat", "50ms")
 	active.waitReady(t)
 	standby := startDaemon(t, "-standby-of", active.url(""),
 		"-state-dir", t.TempDir(), "-lease-ttl", "1s", "-heartbeat", "50ms")
-	// Let the standby register with the active for mirror pushes.
-	time.Sleep(500 * time.Millisecond)
 
 	res, status := clusterBFS(t, active, 0, true)
 	if status != http.StatusOK {
@@ -216,10 +154,10 @@ func TestClusterStandbyTakeover(t *testing.T) {
 	}
 	assertClusterExact(t, res, want)
 
-	// Launch a slow query and SIGKILL the active once the standby's
-	// mirror holds the epoch mid-flight; the client's connection dies
-	// with it. No fixed sleep lands mid-epoch reliably: at scale 14 the
-	// whole epoch takes about 250 ms.
+	// Launch a query whose first message of round 1 or later is held,
+	// and SIGKILL the active once the standby's mirror holds that epoch
+	// mid-flight; the client's connection dies with it.
+	gate.armed.Store(true)
 	go func() {
 		body, _ := json.Marshal(clusterBFSRequest{Source: 0})
 		resp, err := http.Post(active.url("/cluster/bfs"), "application/json", bytes.NewReader(body))
@@ -228,8 +166,11 @@ func TestClusterStandbyTakeover(t *testing.T) {
 			resp.Body.Close()
 		}
 	}()
-	e := waitMirroredEpoch(t, standby, active, res.Epoch)
+	e := waitMirror(t, standby, active, "an in-flight epoch past round 0", func(st coord.JournalState) bool {
+		return st.Epoch != nil && st.Epoch.Epoch != res.Epoch && !st.Epoch.Done && st.Epoch.Round >= 1
+	}).Epoch
 	active.kill(t)
+	gate.release()
 	t.Logf("killed the active with epoch %d mirrored at round %d", e.Epoch, e.Round)
 
 	// The standby notices the unrenewed lease, takes over, and resumes
@@ -255,13 +196,12 @@ func TestClusterStandbyTakeover(t *testing.T) {
 	}
 }
 
-// waitMirroredEpoch polls the standby's mirrored journal (its own
-// GET /cluster/state) until it holds an in-flight epoch other than the
-// finished one past round 0, the state a takeover must resume, and
-// returns that epoch record.
-func waitMirroredEpoch(t *testing.T, standby, active *daemon, finished uint64) *coord.EpochState {
+// waitMirror polls the standby's mirrored journal (its own
+// GET /cluster/state) until ready accepts it, and returns it. what
+// names the awaited state for the failure message.
+func waitMirror(t *testing.T, standby, active *daemon, what string, ready func(coord.JournalState) bool) coord.JournalState {
 	t.Helper()
-	var last *coord.EpochState
+	var st coord.JournalState
 	deadline := time.Now().Add(15 * time.Second)
 	for time.Now().Before(deadline) {
 		if resp, err := http.Get(standby.url("/cluster/state")); err == nil {
@@ -269,18 +209,24 @@ func waitMirroredEpoch(t *testing.T, standby, active *daemon, finished uint64) *
 			resp.Body.Close()
 			frames, _ := coord.SplitFrames(body)
 			for _, rec := range frames {
+				if l, err := coord.DecodeLease(rec); err == nil {
+					st.Lease = l
+				}
+				if a, err := coord.DecodeGroupAssignment(rec); err == nil {
+					st.Assignment = a
+				}
 				if e, err := coord.DecodeEpochState(rec); err == nil {
-					last = e
+					st.Epoch = e
 				}
 			}
-			if last != nil && last.Epoch != finished && !last.Done && last.Round >= 1 {
-				return last
+			if ready(st) {
+				return st
 			}
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	t.Fatalf("the standby's mirror never showed an in-flight epoch past round 0 (last %+v); active logs:\n%s", last, active.logs)
-	return nil
+	t.Fatalf("the standby's mirror never showed %s (last epoch %+v); active logs:\n%s", what, st.Epoch, active.logs)
+	return st
 }
 
 // TestMirrorPushKeepsRoundBehindLease: a lease renewal journaled while
@@ -311,7 +257,7 @@ func TestMirrorPushKeepsRoundBehindLease(t *testing.T) {
 	}))
 	defer srv.Close()
 	defer release() // before srv.Close, which waits for the held handler
-	active := newCoordServer("127.0.0.1:0", clusterFlags{}, nil)
+	active := newCoordServer("127.0.0.1:0", clusterFlags{})
 	active.journal = openJournal()
 	active.journal.Mirror = active.mirrorHook
 	active.standbyURL = srv.URL
@@ -347,37 +293,31 @@ func TestMirrorPushKeepsRoundBehindLease(t *testing.T) {
 	}
 }
 
-// TestClusterStaleCoordinatorFenced: chaos suppresses every lease
-// renewal, so the standby takes over while the old coordinator is still
-// alive. Once the new coordinator's fencing token has reached the
-// shards, the deposed one's queries come back as typed 409s — never
-// half-applied rounds.
+// TestClusterStaleCoordinatorFenced: the active coordinator is frozen
+// (SIGSTOP, as a long GC or VM pause would) until its lease expires, so
+// the standby takes over while the old coordinator still exists. Once
+// the new coordinator's fencing token has reached the shards, the
+// resumed old one's queries come back as typed 409s — never half-
+// applied rounds.
 func TestClusterStaleCoordinatorFenced(t *testing.T) {
 	scale := clusterScale(t)
 	g := clusterGraph(t, scale)
 	want := serialClusterDepths(t, g, 0)
-	var shards []*daemon
-	urls := ""
-	for i := 0; i < 2; i++ {
-		s := startShard(t, freePort(t), i, 2, scale, "")
-		if i > 0 {
-			urls += ","
-		}
-		urls += "http://" + s.addr
-		shards = append(shards, s)
-	}
-	for _, s := range shards {
-		s.waitReady(t)
-	}
+	_, urls := startShards(t, 2, 1, scale, nil, nil)
 	active := startDaemon(t, "-coordinate", urls,
-		"-state-dir", t.TempDir(), "-lease-ttl", "700ms", "-heartbeat", "50ms",
-		"-chaos-failover-prob", "1", "-chaos-seed", "3")
+		"-state-dir", t.TempDir(), "-lease-ttl", "700ms", "-heartbeat", "50ms")
 	active.waitReady(t)
 	standby := startDaemon(t, "-standby-of", active.url(""),
 		"-state-dir", t.TempDir(), "-lease-ttl", "700ms", "-heartbeat", "50ms")
 
-	// Every renewal is suppressed, so the standby promotes itself while
-	// the old coordinator keeps running.
+	// The standby can only take over a lease and an assignment it has
+	// mirrored. Then the active stops renewing while it is frozen.
+	waitMirror(t, standby, active, "a lease and a shard assignment", func(st coord.JournalState) bool {
+		return st.Lease != nil && st.Assignment != nil
+	})
+	if err := active.cmd.Process.Signal(syscall.SIGSTOP); err != nil {
+		t.Fatal(err)
+	}
 	standby.waitReady(t)
 
 	// The new coordinator's first query raises the shards' fencing bar.
@@ -386,6 +326,9 @@ func TestClusterStaleCoordinatorFenced(t *testing.T) {
 		t.Fatalf("promoted standby query: HTTP %d", status)
 	}
 	assertClusterExact(t, res, want)
+	if err := active.cmd.Process.Signal(syscall.SIGCONT); err != nil {
+		t.Fatal(err)
+	}
 
 	// The deposed coordinator's next round is fenced: typed 409, and it
 	// marks itself deposed (503 on /readyz) rather than retrying.

@@ -27,7 +27,6 @@ import (
 	"time"
 
 	"fastbfs/cluster/coord"
-	"fastbfs/internal/faultinject"
 )
 
 // coordServer is the shared serving state of an active or standby
@@ -42,15 +41,13 @@ type coordServer struct {
 	fence    uint64
 	leaseTTL time.Duration
 	holder   string // own advertised URL (lease holder, standby address)
-	inj      *faultinject.Plan
-	seq      faultinject.Sequencer
 
 	standbyMu  sync.Mutex
 	standbyURL string
 	mirrorCh   chan struct{} // capacity 1: coalesced wakeups of mirrorPusher
 }
 
-func newCoordServer(addr string, cf clusterFlags, inj *faultinject.Plan) *coordServer {
+func newCoordServer(addr string, cf clusterFlags) *coordServer {
 	ttl := cf.leaseTTL
 	if ttl <= 0 {
 		ttl = 3 * time.Second
@@ -58,7 +55,6 @@ func newCoordServer(addr string, cf clusterFlags, inj *faultinject.Plan) *coordS
 	return &coordServer{
 		leaseTTL: ttl,
 		holder:   selfURL(addr),
-		inj:      inj,
 		mirrorCh: make(chan struct{}, 1),
 	}
 }
@@ -86,10 +82,9 @@ func (cs *coordServer) isDeposed() bool {
 	return cs.deposed
 }
 
-// renewLoop keeps the lease alive while this coordinator is in charge.
-// The faultinject coord.failover site can suppress individual renewals,
-// which is the deterministic way to force a standby takeover while the
-// active stays up (and then exercises the fencing path).
+// renewLoop keeps the lease alive while this coordinator is in charge,
+// renewing every TTL/3. A coordinator that stops renewing (crashed, or
+// paused past its TTL) loses the lease to the standby.
 func (cs *coordServer) renewLoop(ctx context.Context) {
 	t := time.NewTicker(cs.leaseTTL / 3)
 	defer t.Stop()
@@ -101,11 +96,6 @@ func (cs *coordServer) renewLoop(ctx context.Context) {
 		}
 		if cs.isDeposed() {
 			return
-		}
-		d := faultinject.Decide(cs.inj, faultinject.SiteCoordFailover, cs.seq.Next(faultinject.SiteCoordFailover))
-		if d.Err != nil {
-			log.Printf("chaos: suppressing lease renewal (token %d)", cs.fence)
-			continue
 		}
 		if err := cs.publishLease(); err != nil {
 			log.Printf("coordinator: lease renewal: %v", err)
@@ -326,7 +316,7 @@ func (cs *coordServer) handleMirror(w http.ResponseWriter, r *http.Request) {
 // standbyLoop mirrors the active coordinator's journal and takes over
 // when its lease expires unrenewed. Returns once promoted (or on ctx
 // cancellation).
-func (cs *coordServer) standbyLoop(ctx context.Context, cf clusterFlags, inj *faultinject.Plan) {
+func (cs *coordServer) standbyLoop(ctx context.Context, cf clusterFlags) {
 	poll := cs.leaseTTL / 4
 	if poll < 200*time.Millisecond {
 		poll = 200 * time.Millisecond
@@ -365,7 +355,7 @@ func (cs *coordServer) standbyLoop(ctx context.Context, cf clusterFlags, inj *fa
 			log.Printf("standby: publishing takeover lease: %v", err)
 			continue
 		}
-		cfg := clusterCoordConfig(cf, inj)
+		cfg := clusterCoordConfig(cf)
 		cfg.Shards = st.Assignment.URLs
 		cfg.Replicas = int(st.Assignment.Replicas)
 		if err := cs.activate(ctx, cfg); err != nil {
@@ -385,7 +375,7 @@ func (cs *coordServer) standbyLoop(ctx context.Context, cf clusterFlags, inj *fa
 
 // clusterCoordConfig builds the coord.Config shared by the active
 // coordinator and a promoted standby (everything but the shard set).
-func clusterCoordConfig(cf clusterFlags, inj *faultinject.Plan) coord.Config {
+func clusterCoordConfig(cf clusterFlags) coord.Config {
 	return coord.Config{
 		Replicas:          cf.replicas,
 		RPCTimeout:        cf.rpcTimeout,
@@ -394,30 +384,8 @@ func clusterCoordConfig(cf clusterFlags, inj *faultinject.Plan) coord.Config {
 		HeartbeatInterval: cf.heartbeat,
 		HedgeAfter:        cf.hedgeAfter,
 		AuditReplicas:     cf.auditReplicas,
-		Backoff:           coord.Backoff{Base: 25 * time.Millisecond, Max: time.Second, Jitter: 0.5, Seed: cf.chaosSeed},
-		Injector:          inj,
+		Backoff:           coord.Backoff{Base: 25 * time.Millisecond, Max: time.Second, Jitter: 0.5, Seed: 1},
 	}
-}
-
-// coordInjector builds the coordinator-side chaos plan from the flags.
-func coordInjector(cf clusterFlags) *faultinject.Plan {
-	rules := map[faultinject.Site]faultinject.Rule{}
-	if cf.chaosSendProb > 0 {
-		rules[faultinject.SiteCoordSend] = faultinject.Rule{FaultProb: cf.chaosSendProb}
-		log.Printf("chaos: dropping %.0f%% of round sends (seed %d)", 100*cf.chaosSendProb, cf.chaosSeed)
-	}
-	if cf.chaosFailoverProb > 0 {
-		rules[faultinject.SiteCoordFailover] = faultinject.Rule{FaultProb: cf.chaosFailoverProb}
-		log.Printf("chaos: suppressing %.0f%% of lease renewals (seed %d)", 100*cf.chaosFailoverProb, cf.chaosSeed)
-	}
-	if cf.chaosDivergeProb > 0 {
-		rules[faultinject.SiteCoordDiverge] = faultinject.Rule{FaultProb: cf.chaosDivergeProb}
-		log.Printf("chaos: corrupting %.0f%% of received replica responses pre-audit (seed %d)", 100*cf.chaosDivergeProb, cf.chaosSeed)
-	}
-	if len(rules) == 0 {
-		return nil
-	}
-	return &faultinject.Plan{Seed: cf.chaosSeed, Rules: rules}
 }
 
 // runStandbyMode runs a standby coordinator: it mirrors the active's
@@ -428,8 +396,7 @@ func runStandbyMode(addr string, cf clusterFlags) error {
 	if cf.stateDir == "" {
 		return errors.New("-standby-of requires -state-dir for the mirrored journal")
 	}
-	inj := coordInjector(cf)
-	cs := newCoordServer(addr, cf, inj)
+	cs := newCoordServer(addr, cf)
 	j, err := openCoordJournal(cf.stateDir)
 	if err != nil {
 		return err
@@ -454,7 +421,7 @@ func runStandbyMode(addr string, cf clusterFlags) error {
 
 	ctx, stop := signalContext()
 	defer stop()
-	go cs.standbyLoop(ctx, cf, inj)
+	go cs.standbyLoop(ctx, cf)
 
 	select {
 	case err := <-errCh:

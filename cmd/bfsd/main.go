@@ -138,13 +138,6 @@ func main() {
 	flag.IntVar(&cf.maxAttempts, "max-attempts", 4, "coordinator: guaranteed per-round delivery attempts per shard")
 	flag.DurationVar(&cf.hedgeAfter, "hedge-after", 0, "coordinator: stop waiting for straggler replicas this long after a round's first valid response (0 = adaptive from observed p99, negative disables hedging)")
 	flag.BoolVar(&cf.auditReplicas, "audit-replicas", true, "coordinator: with -replicas >= 2, cross-check replica responses byte-for-byte and serve the quorum answer (diverging replicas are evicted for the epoch)")
-	flag.Uint64Var(&cf.chaosSeed, "chaos-seed", 1, "seed for deterministic cluster fault injection")
-	flag.Float64Var(&cf.chaosSendProb, "chaos-send-prob", 0, "coordinator: inject this fraction of lost round sends")
-	flag.Float64Var(&cf.chaosExpandProb, "chaos-expand-prob", 0, "shard: fail this fraction of expand rounds")
-	flag.DurationVar(&cf.chaosExpandDelay, "chaos-expand-delay", 0, "shard: delay every expand round by up to this duration (slows queries so crash harnesses can kill mid-epoch)")
-	flag.Float64Var(&cf.chaosFailoverProb, "chaos-failover-prob", 0, "coordinator: suppress this fraction of lease renewals (forces standby takeover while alive)")
-	flag.Float64Var(&cf.chaosDivergeProb, "chaos-diverge-prob", 0, "coordinator: corrupt this fraction of received replica responses before auditing (exercises quorum outvoting)")
-	flag.DurationVar(&cf.chaosStallDelay, "chaos-stall-delay", 0, "shard: stall every expand round by up to this duration while heartbeats stay healthy (gray failure; exercises hedging)")
 	flag.Parse()
 	cf.stateDir = *stateDir
 

@@ -5,21 +5,24 @@ package main
 // Process-level silent-fault smoke: the serving daemon's background
 // scrubber quarantining and healing a bit-flipped mmap'd artifact with
 // no corrupted answer ever served, and a replicated cluster outvoting
-// deterministically injected divergent replica responses while staying
+// a replica whose responses a proxy corrupts while staying
 // depth-exact. The CI scrub-smoke job runs these at scale 14 under
 // -race.
 
 import (
+	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
+	"net/http/httputil"
 	"os"
 	"reflect"
 	"strconv"
 	"testing"
 	"time"
 
+	"fastbfs/cluster/coord"
 	"fastbfs/graph/gen"
-	"fastbfs/internal/faultinject"
 )
 
 // flipFileByte XORs one byte of an artifact in place — bit rot, as dd
@@ -134,73 +137,53 @@ func TestServeScrubQuarantineHeal(t *testing.T) {
 }
 
 // TestClusterAuditOutvotesDivergence: a 2x3 replicated process cluster
-// under deterministic response corruption (-chaos-diverge-prob) must
-// detect every divergent reply, outvote it, and still answer with
-// exactly the serial depths. The seed is scanned so corruption stays a
-// per-group minority — the audit always has an honest quorum.
+// in which one replica of each group answers every round with a
+// corrupted response must detect the divergent reply, outvote it, and
+// still answer with exactly the serial depths. The corruption is a
+// proxy in front of replica 2 that adds one to each reply's claimed
+// count and re-encodes it as a valid frame, so only the audit can tell.
 func TestClusterAuditOutvotesDivergence(t *testing.T) {
 	const groups, replicas = 2, 3
-	const prob = 0.02
 	scale := clusterScale(t)
 	g := clusterGraph(t, scale)
 	want := serialClusterDepths(t, g, 1)
-	maxDepth := int32(0)
-	for _, dth := range want {
-		if dth > maxDepth {
-			maxDepth = dth
+	co, _ := startCluster(t, groups, replicas, scale, nil, func(i int, addr string) string {
+		if i%replicas != 2 {
+			return "http://" + addr
 		}
-	}
-	// Rounds 0..maxDepth+1 can carry expansions; require one corrupt
-	// reply inside the traversal and confine each group's firings to a
-	// single replica over a generous horizon (the first divergence
-	// evicts that replica, so the surviving majority stays unanimous).
-	maxRound := uint32(maxDepth) + 4
-	needBy := uint32(maxDepth)
-	seed := uint64(0)
-	for s := uint64(1); seed == 0 && s < 200000; s++ {
-		p := &faultinject.Plan{Seed: s, Rules: map[faultinject.Site]faultinject.Rule{
-			faultinject.SiteCoordDiverge: {FaultProb: prob},
-		}}
-		early := false
-		ok := true
-		for gid := 0; gid < groups && ok; gid++ {
-			liar := -1
-			for r := uint32(0); r < maxRound && ok; r++ {
-				for rep := 0; rep < replicas; rep++ {
-					u := gid*replicas + rep
-					if !p.Decide(faultinject.SiteCoordDiverge, uint64(u)<<32|uint64(r)).Fault() {
-						continue
-					}
-					if liar == -1 {
-						liar = rep
-					}
-					if rep != liar {
-						ok = false
-						break
-					}
-					if r < needBy {
-						early = true
-					}
-				}
-			}
-		}
-		if ok && early {
-			seed = s
-		}
-	}
-	if seed == 0 {
-		t.Fatal("no usable divergence seed found")
-	}
-
-	co, _ := startReplicaCluster(t, groups, replicas, scale, nil,
-		"-chaos-diverge-prob", strconv.FormatFloat(prob, 'f', -1, 64),
-		"-chaos-seed", strconv.FormatUint(seed, 10))
+		return proxyShard(t, addr, func(p *httputil.ReverseProxy) { p.ModifyResponse = overclaim })
+	})
 	res, code := clusterBFS(t, co, 1, true)
 	if code != http.StatusOK {
 		t.Fatalf("cluster BFS: HTTP %d, want 200; logs:\n%s", code, co.logs)
 	}
 	assertClusterExact(t, res, want)
 	if res.Divergences == 0 {
-		t.Fatalf("injected corrupt replica responses but none were detected; logs:\n%s", co.logs)
+		t.Fatalf("corrupted replica responses but none were detected; logs:\n%s", co.logs)
 	}
+	t.Logf("%d divergences outvoted", res.Divergences)
+}
+
+// overclaim rewrites a successful expand reply to claim one vertex more
+// than the shard did: a well-formed answer that its honest siblings
+// contradict.
+func overclaim(resp *http.Response) error {
+	if !isExpand(resp.Request) || resp.StatusCode != http.StatusOK {
+		return nil
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		return err
+	}
+	r, err := coord.DecodeExpandResponse(body)
+	if err != nil {
+		return err
+	}
+	r.Claimed++
+	body = r.Encode()
+	resp.Body = io.NopCloser(bytes.NewReader(body))
+	resp.ContentLength = int64(len(body))
+	resp.Header.Set("Content-Length", strconv.Itoa(len(body)))
+	return nil
 }

@@ -64,13 +64,6 @@ const (
 	// against the shard's idempotent round protocol), panics crash the
 	// handler mid-round.
 	SiteShardExpand Site = "shard.expand"
-	// SiteCoordFailover fires on each lease renewal tick of an active
-	// coordinator: an injected error suppresses that renewal, so a
-	// healthy standby observes an expiring lease and takes over — the
-	// deterministic way to force a coordinator failover without killing
-	// the process (the deposed coordinator then exercises the fencing
-	// path).
-	SiteCoordFailover Site = "coord.failover"
 	// SiteShardLease fires in a shard's fence-admission check, before
 	// the fencing token of a round request is compared: errors fail the
 	// request (a retryable 500, not a fencing rejection), delays slow
@@ -247,7 +240,6 @@ type Sequencer struct {
 	graphLoad      atomic.Uint64
 	coordSend      atomic.Uint64
 	shardExpand    atomic.Uint64
-	coordFailover  atomic.Uint64
 	shardLease     atomic.Uint64
 	coordDiverge   atomic.Uint64
 	shardStall     atomic.Uint64
@@ -272,8 +264,6 @@ func (s *Sequencer) Next(site Site) uint64 {
 		return s.coordSend.Add(1) - 1
 	case SiteShardExpand:
 		return s.shardExpand.Add(1) - 1
-	case SiteCoordFailover:
-		return s.coordFailover.Add(1) - 1
 	case SiteShardLease:
 		return s.shardLease.Add(1) - 1
 	case SiteCoordDiverge:
