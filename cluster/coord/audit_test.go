@@ -249,3 +249,43 @@ func TestHedgeAbandonsGrayStalledReplica(t *testing.T) {
 	client.CloseIdleConnections()
 	settle(baseline+2, "after drain")
 }
+
+// TestHedgeBudget pins the hedge budget: an explicit HedgeAfter wins, a
+// negative one disables hedging, and the adaptive budget is 4× the p99
+// of the window, never below hedgeFloor (a healthy replica's fsync tail)
+// and never above the RPC timeout.
+func TestHedgeBudget(t *testing.T) {
+	ms := func(v ...int) []time.Duration {
+		d := make([]time.Duration, len(v))
+		for i, x := range v {
+			d[i] = time.Duration(x) * time.Millisecond
+		}
+		return d
+	}
+	// 100 samples of 10 ms with one 100 ms outlier: p99 is the outlier.
+	tail := ms(100)
+	for i := 0; i < 99; i++ {
+		tail = append(tail, 10*time.Millisecond)
+	}
+	for _, tc := range []struct {
+		name       string
+		after, rpc time.Duration
+		lats       []time.Duration
+		want       time.Duration
+	}{
+		{"explicit", 25 * time.Millisecond, 5 * time.Second, ms(1, 2, 3), 25 * time.Millisecond},
+		{"explicit ignores window", time.Second, 5 * time.Second, nil, time.Second},
+		{"disabled", -1, 5 * time.Second, ms(10), 0},
+		{"no latency yet", 0, 5 * time.Second, nil, 0},
+		{"fast window floors", 0, 5 * time.Second, ms(3, 5, 4), hedgeFloor},
+		{"healthy fsync tail floors", 0, 5 * time.Second, ms(20, 43, 30, 25), hedgeFloor},
+		{"slow window scales", 0, 5 * time.Second, ms(80, 120, 100), 480 * time.Millisecond},
+		{"p99 of a full window", 0, 5 * time.Second, tail, 400 * time.Millisecond},
+		{"capped by rpc timeout", 0, time.Second, ms(300, 900), time.Second},
+		{"floor capped by rpc timeout", 0, 100 * time.Millisecond, ms(5), 100 * time.Millisecond},
+	} {
+		if got := hedgeBudget(tc.after, tc.rpc, tc.lats); got != tc.want {
+			t.Errorf("%s: hedgeBudget = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}

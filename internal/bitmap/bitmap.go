@@ -36,10 +36,11 @@ type VIS interface {
 }
 
 // Bitmap is the atomic-free bit-per-vertex VIS. Loads and stores use
-// sync/atomic Load/Store on 32-bit words, which compile to plain MOVs on
-// x86-64 — the Go-visible equivalent of the paper's unlocked accesses —
-// keeping the race-detector silent while preserving the algorithm's
-// benign lost-update window within a word.
+// sync/atomic Load/Store on 32-bit words. On x86-64 a Load is a plain MOV
+// but a Store is an XCHG, a full fence the paper's unlocked store does
+// not pay. Neither is a read-modify-write, so the race detector stays
+// silent and the algorithm's benign lost-update window within a word is
+// preserved.
 type Bitmap struct {
 	words []uint32
 }

@@ -4,6 +4,7 @@ import (
 	"math/bits"
 	"time"
 
+	"fastbfs/graph"
 	"fastbfs/internal/numa"
 	"fastbfs/internal/par"
 	"fastbfs/internal/trace"
@@ -90,9 +91,20 @@ func (e *Engine) bottomUpStep(st *workerState, step uint32, maxSteps int) bool {
 
 // bottomUp scans this worker's vertex range for unvisited vertices and
 // claims a frontier parent for each via early-exiting in-neighbor scan.
+//
+// Only candidates are scanned: per 32-vertex word, the vertices whose VIS
+// bit is clear and that have at least one in-neighbor (the noIn mask).
+// A set VIS bit implies a visited vertex (TrySet always precedes the
+// claim-or-duplicate outcome, and the step barrier orders both), and a
+// vertex with no in-neighbors can never find a frontier parent, so
+// neither can be claimed here. The converse does not hold — dropped
+// sibling VIS bits leave visited vertices among the candidates — which
+// is why each candidate is still tested against DP, the authority. The
+// set bits are visited in ascending order, so the scan order and the
+// first-found parent are those of a full scan.
 func (e *Engine) bottomUp(st *workerState, depth uint32, wLo, wHi int) {
-	n := uint32(e.g.NumVertices())
 	in := e.in
+	noIn := e.noIn
 	front := e.frontBit.Words()
 	nextW := e.nextBit.Words()
 	next := e.nxt.Arrays[st.id]
@@ -103,21 +115,14 @@ func (e *Engine) bottomUp(st *workerState, depth uint32, wLo, wHi int) {
 	}
 
 	for wi := wLo; wi < wHi; wi++ {
-		// Full-word skip: a set VIS bit implies a visited vertex (TrySet
-		// always precedes the claim-or-duplicate outcome, and the step
-		// barrier orders both), so an all-ones word holds no work. The
-		// converse does not hold — dropped sibling bits — which is why
-		// the per-vertex test below is against DP, the authority.
-		if visWords != nil && visWords[wi] == ^uint32(0) {
-			continue
+		skip := noIn[wi]
+		if visWords != nil {
+			skip |= visWords[wi]
 		}
 		base := uint32(wi) << 5
-		limit := n - base
-		if limit > 32 {
-			limit = 32
-		}
 		var claimed uint32
-		for b := uint32(0); b < limit; b++ {
+		for c := ^skip; c != 0; c &= c - 1 {
+			b := uint32(bits.TrailingZeros32(c))
 			v := base + b
 			if e.dp[v] != INF {
 				continue
@@ -151,6 +156,24 @@ func (e *Engine) bottomUp(st *workerState, depth uint32, wLo, wHi int) {
 		}
 	}
 	e.nxt.Arrays[st.id] = next
+}
+
+// noInMask returns one bit per vertex of in, set where the vertex has no
+// in-neighbors. The tail word's bits past |V| are set as well, so the
+// bottom-up candidate mask never names a vertex that does not exist.
+func noInMask(in *graph.Graph) []uint32 {
+	n := in.NumVertices()
+	mask := make([]uint32, (n+31)/32)
+	off := in.Offsets
+	for v := 0; v < n; v++ {
+		if off[v] == off[v+1] {
+			mask[v>>5] |= 1 << (v & 31)
+		}
+	}
+	if r := n & 31; r != 0 {
+		mask[len(mask)-1] |= ^uint32(0) << r
+	}
+	return mask
 }
 
 // markClaimed mirrors exclusive DP claims — the vertices of bitmap word
@@ -217,6 +240,7 @@ func (e *Engine) directionStep(m *trace.StepMetrics, total int64) {
 				} else {
 					e.in = e.g // symmetric graph is its own in-adjacency
 				}
+				e.noIn = noInMask(e.in)
 			}
 		}
 	} else {

@@ -79,8 +79,10 @@ type Engine struct {
 	// Hybrid (direction-optimizing) state, allocated when cfg.Hybrid.
 	// in is the in-adjacency used by bottom-up scans; it is resolved
 	// lazily on the first switch and cached for the Engine's lifetime,
-	// so repeated Runs (the serve pool pattern) pay the transpose once.
+	// so repeated Runs (the serve pool pattern) pay the transpose once;
+	// noIn is derived from it at the same moment and cached alongside.
 	in       *graph.Graph
+	noIn     []uint32       // per vertex of in: no in-neighbors (see noInMask)
 	frontBit *bitmap.Bitmap // dense frontier bitmap (bottom-up levels)
 	nextBit  *bitmap.Bitmap // dense next-frontier bitmap (bottom-up levels)
 

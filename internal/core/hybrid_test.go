@@ -47,7 +47,32 @@ func hybridGraphs(tb testing.TB) map[string]*graph.Graph {
 	if gs["messy"], err = graph.FromEdges(64, messy); err != nil {
 		tb.Fatal(err)
 	}
+	gs["sparse-tail"] = sparseTail(tb)
 	return gs
+}
+
+// sparseTail is a directed random graph on 1000 vertices (not a multiple
+// of 32) where the source 0 and every multiple of 5 have in-degree 0, so
+// the bottom-up candidate mask drops vertices from every word, including
+// the partial tail word (992..999), which also holds reachable vertices.
+func sparseTail(tb testing.TB) *graph.Graph {
+	tb.Helper()
+	const n = 1000
+	var edges []graph.Edge
+	x := uint32(1)
+	for u := uint32(0); u < n; u++ {
+		for k := 0; k < 4; k++ {
+			x = x*1664525 + 1013904223 // LCG: deterministic, no seed plumbing
+			if v := (x >> 22) % n; v%5 != 0 {
+				edges = append(edges, graph.Edge{U: u, V: v})
+			}
+		}
+	}
+	g, err := graph.FromEdges(n, edges)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return g
 }
 
 // inAdjFor returns the InAdj hook for g: nil for symmetric graphs (the
@@ -202,6 +227,56 @@ func TestHybridManySources(t *testing.T) {
 	}
 	if !sawBottomUp {
 		t.Error("default α never selected bottom-up on a scale-13 RMAT")
+	}
+}
+
+// TestHybridNoInMaskAcrossSources reuses one engine across sources on
+// the sparse-tail graph: the in-degree-0 mask is built once, at the first
+// switch, and every later run (sources with and without in-neighbors)
+// stays exact on it.
+func TestHybridNoInMaskAcrossSources(t *testing.T) {
+	g := sparseTail(t)
+	tr := g.Transpose()
+	for _, vis := range []VISKind{VISPartitioned, VISByte} {
+		cfg := DefaultConfig(1)
+		cfg.Workers = 3
+		cfg.VIS = vis
+		cfg.Hybrid = true
+		cfg.Alpha, cfg.Beta = math.Inf(1), math.Inf(1) // every run stays bottom-up from level 2
+		cfg.InAdj = func() *graph.Graph { return tr }
+		e, err := New(g, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.serialBelow = 0
+		var mask []uint32
+		for _, src := range []uint32{0, 1, 995, 997, 999, 500, 0} {
+			label := fmt.Sprintf("%v/src=%d", vis, src)
+			ref, err := SerialBFS(g, src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := e.Run(src)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			sameDepths(t, g, ref, res, label)
+			checkParents(t, g, res, src, label)
+			if mask == nil {
+				mask = e.noIn
+			} else if &e.noIn[0] != &mask[0] {
+				t.Fatalf("%s: noIn rebuilt after the first switch", label)
+			}
+		}
+		if mask == nil {
+			t.Fatalf("%v: no run switched to bottom-up", vis)
+		}
+		for v := 0; v < 1024; v++ {
+			want := v >= g.NumVertices() || tr.Degree(uint32(v)) == 0
+			if got := mask[v>>5]&(1<<(v&31)) != 0; got != want {
+				t.Fatalf("%v: noIn bit %d = %v, want %v", vis, v, got, want)
+			}
+		}
 	}
 }
 
