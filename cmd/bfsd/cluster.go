@@ -11,9 +11,9 @@ package main
 // crash recovery (see cluster/coord).
 //
 //	# three shards + a coordinator over a generated scale-14 RMAT graph
-//	bfsd -addr :9001 -shard-id 0 -shards 3 -gen rmat -scale 14 -checkpoint-dir /tmp/s0 &
-//	bfsd -addr :9002 -shard-id 1 -shards 3 -gen rmat -scale 14 -checkpoint-dir /tmp/s1 &
-//	bfsd -addr :9003 -shard-id 2 -shards 3 -gen rmat -scale 14 -checkpoint-dir /tmp/s2 &
+//	bfsd -addr :9001 -shard-id 0 -shards 3 -graph rmat:scale=14 -checkpoint-dir /tmp/s0 &
+//	bfsd -addr :9002 -shard-id 1 -shards 3 -graph rmat:scale=14 -checkpoint-dir /tmp/s1 &
+//	bfsd -addr :9003 -shard-id 2 -shards 3 -graph rmat:scale=14 -checkpoint-dir /tmp/s2 &
 //	bfsd -addr :9000 -coordinate http://127.0.0.1:9001,http://127.0.0.1:9002,http://127.0.0.1:9003
 //	curl -s -X POST localhost:9000/cluster/bfs -d '{"source":0}'
 //
@@ -450,32 +450,15 @@ func (r *registry) urls() []string {
 }
 
 // loadClusterGraph builds the single shared graph a shard serves, from
-// the same -graph/-gen flags as standalone mode. Every shard of a
-// cluster must load the identical graph (same file, or same generator
-// and seed); the coordinator cross-checks only the partition ranges, so
-// mismatched graphs are the operator's failure to keep flags in sync.
-func loadClusterGraph(graphs graphFlags, genKind string, n, degree, scale, edgeFactor int, seed uint64, mmap bool) (*graph.Graph, error) {
-	if len(graphs) > 1 || (len(graphs) == 1 && genKind != "") {
-		return nil, errors.New("shard mode serves exactly one graph: pass one -graph or one -gen")
+// one -graph value as in standalone mode (its name, if any, is unused).
+// Every shard of a cluster must load the identical graph (same file, or
+// same spec); the coordinator cross-checks only the partition ranges,
+// so mismatched graphs are the operator's failure to keep flags in
+// sync.
+func loadClusterGraph(graphs graphFlags, mmap bool) (*graph.Graph, error) {
+	if len(graphs) != 1 {
+		return nil, errors.New("shard mode serves exactly one graph: pass one -graph")
 	}
-	if len(graphs) == 1 {
-		path := graphs[0]
-		if _, p, ok := strings.Cut(path, "="); ok {
-			path = p
-		}
-		if mmap {
-			return graph.LoadMmap(path)
-		}
-		return graph.Load(path)
-	}
-	switch genKind {
-	case "ur":
-		return gen.UniformRandom(n, degree, seed)
-	case "rmat":
-		return gen.RMAT(gen.Graph500Params(scale, edgeFactor), seed)
-	case "":
-		return nil, errors.New("shard mode needs a graph: pass -graph or -gen")
-	default:
-		return nil, fmt.Errorf("unknown -gen kind %q", genKind)
-	}
+	_, source := splitGraphFlag(graphs[0])
+	return gen.Open(source, mmap)
 }

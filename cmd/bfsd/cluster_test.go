@@ -49,7 +49,7 @@ func clusterScale(t *testing.T) int {
 const clusterSeed = 5
 
 // clusterGraph regenerates the exact graph the shard processes build
-// from the matching -gen flags.
+// from the matching -graph spec.
 func clusterGraph(t *testing.T, scale int) *graph.Graph {
 	t.Helper()
 	g, err := gen.RMAT(gen.Graph500Params(scale, 16), clusterSeed)
@@ -80,7 +80,7 @@ func startShard(t *testing.T, addr string, id, shards, scale int, ckptDir string
 	args := []string{
 		"-addr", d.addr,
 		"-shard-id", strconv.Itoa(id), "-shards", strconv.Itoa(shards),
-		"-gen", "rmat", "-scale", strconv.Itoa(scale), "-edgefactor", "16", "-seed", strconv.Itoa(clusterSeed),
+		"-graph", fmt.Sprintf("rmat:scale=%d,ef=16,seed=%d", scale, clusterSeed),
 	}
 	if ckptDir != "" {
 		args = append(args, "-checkpoint-dir", ckptDir)

@@ -23,6 +23,7 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -386,12 +387,20 @@ func TestRestartUnderLoad(t *testing.T) {
 	d1.loadGraph(t, "g", path, false)
 	before := d1.allDepths(t, "g", 0)
 
+	// SIGTERM goes out once every client has had a query answered, so the
+	// drain always starts under load. A client that fails before its
+	// first answer also releases the wait, and is caught below.
+	const clients = 4
 	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
+	var wg, loaded sync.WaitGroup
+	var answered atomic.Int32
+	for i := 0; i < clients; i++ {
 		wg.Add(1)
+		loaded.Add(1)
 		go func(seed int64) {
 			defer wg.Done()
+			var first sync.Once
+			defer first.Do(loaded.Done)
 			r := rand.New(rand.NewSource(seed))
 			for {
 				select {
@@ -406,10 +415,18 @@ func TestRestartUnderLoad(t *testing.T) {
 				}
 				_, _ = io.Copy(io.Discard, resp.Body)
 				resp.Body.Close()
+				first.Do(func() {
+					answered.Add(1)
+					loaded.Done()
+				})
 			}
 		}(int64(i))
 	}
-	time.Sleep(30 * time.Millisecond)
+	loaded.Wait()
+	if n := answered.Load(); n != clients {
+		close(stop)
+		t.Fatalf("only %d of %d clients had a query answered before SIGTERM; logs:\n%s", n, clients, d1.logs)
+	}
 
 	if err := d1.cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)

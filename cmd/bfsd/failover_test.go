@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/http/httputil"
@@ -352,22 +353,58 @@ func TestClusterStaleCoordinatorFenced(t *testing.T) {
 	assertClusterExact(t, res, want)
 }
 
-// TestClusterBootOrder: shards started before the coordinator even
-// listens keep retrying registration with backoff, so boot order does
-// not matter — the cluster assembles once the coordinator appears.
+// TestClusterBootOrder: shards started before the coordinator keep
+// retrying registration with backoff, so boot order does not matter —
+// the cluster assembles once the coordinator appears.
 func TestClusterBootOrder(t *testing.T) {
 	scale := clusterScale(t)
 	g := clusterGraph(t, scale)
 	want := serialClusterDepths(t, g, 0)
 	coordAddr := freePort(t)
+
+	// Until the coordinator starts, a placeholder on its address refuses
+	// every registration with 503, the shards' retry path, and notes
+	// which shard called. The coordinator starts only once every shard
+	// has been refused at least once.
+	l, err := net.Listen("tcp", coordAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	refused := map[[2]int]bool{}
+	allRefused := make(chan struct{})
+	placeholder := &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var body struct {
+			ID      int `json:"id"`
+			Replica int `json:"replica"`
+		}
+		if r.URL.Path == "/cluster/register" && json.NewDecoder(r.Body).Decode(&body) == nil {
+			mu.Lock()
+			if !refused[[2]int{body.ID, body.Replica}] {
+				refused[[2]int{body.ID, body.Replica}] = true
+				if len(refused) == 4 {
+					close(allRefused)
+				}
+			}
+			mu.Unlock()
+		}
+		http.Error(w, "coordinator not started", http.StatusServiceUnavailable)
+	})}
+	go placeholder.Serve(l)
+	defer placeholder.Close()
+
 	for gid := 0; gid < 2; gid++ {
 		for r := 0; r < 2; r++ {
 			startShard(t, freePort(t), gid, 2, scale, "",
 				"-replica-id", strconv.Itoa(r), "-coordinator", "http://"+coordAddr)
 		}
 	}
-	// Shards are now dialing a coordinator that does not exist yet.
-	time.Sleep(400 * time.Millisecond)
+	select {
+	case <-allRefused:
+	case <-time.After(time.Minute):
+		t.Fatal("not every shard tried to register within a minute")
+	}
+	placeholder.Close()
 	co := startCoordinatorAt(t, coordAddr, "-coordinate", "auto", "-shards", "2", "-replicas", "2")
 	co.waitReady(t)
 	res, status := clusterBFS(t, co, 0, true)

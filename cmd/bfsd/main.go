@@ -7,8 +7,13 @@
 // Usage:
 //
 //	bfsd -addr :8080 -graph social=social.csr -graph roads=roads.csr
-//	bfsd -gen rmat -scale 18 -name default
-//	bfsd -gen rmat -scale 20 -hybrid   # direction-optimizing engines + sweeps
+//	bfsd -graph rmat:scale=18          # generated, served as "default"
+//	bfsd -graph big=rmat:scale=20 -hybrid   # direction-optimizing engines + sweeps
+//
+// Each -graph value is [name=]SOURCE, where SOURCE is a CSR file or a
+// generator spec, kind:key=value,... as graphgen takes it (bfsd -h lists
+// every kind with its defaults). An unnamed file is served under its
+// base name, an unnamed generated graph as "default".
 //
 // Query it:
 //
@@ -79,24 +84,32 @@ import (
 	"fastbfs/serve"
 )
 
-// graphFlags collects repeated -graph name=path (or bare path) values.
+// graphFlags collects repeated -graph [name=]SOURCE values.
 type graphFlags []string
 
 func (g *graphFlags) String() string     { return strings.Join(*g, ",") }
 func (g *graphFlags) Set(v string) error { *g = append(*g, v); return nil }
 
+// splitGraphFlag splits a -graph value, [name=]SOURCE, into the name
+// the graph is served under and its source, a CSR path or a generator
+// spec. The name= prefix is recognised only when the text before the
+// first '=' has no ':', so a bare spec's key=value pairs never read as
+// a name. An unnamed file is named after its base name without the
+// extension, an unnamed spec "default".
+func splitGraphFlag(v string) (name, source string) {
+	if name, source, ok := strings.Cut(v, "="); ok && !strings.Contains(name, ":") {
+		return name, source
+	}
+	if gen.IsSpec(v) {
+		return "default", v
+	}
+	return strings.TrimSuffix(filepath.Base(v), filepath.Ext(v)), v
+}
+
 func main() {
 	var graphs graphFlags
 	addr := flag.String("addr", ":8080", "listen address")
-	flag.Var(&graphs, "graph", "graph to serve, as name=path.csr or path.csr (repeatable)")
-	genKind := flag.String("gen", "", "generate a graph instead: ur | rmat")
-	name := flag.String("name", "default", "name of the generated graph")
-	n := flag.Int("n", 1<<18, "vertices for -gen ur")
-	degree := flag.Int("degree", 16, "degree for -gen ur")
-	scale := flag.Int("scale", 18, "log2 vertices for -gen rmat")
-	edgeFactor := flag.Int("edgefactor", 16, "edge factor for -gen rmat")
-	seed := flag.Uint64("seed", 1, "generator seed")
-	sockets := flag.Int("sockets", 1, "simulated sockets for pooled engines")
+	flag.Var(&graphs, "graph", "graph to serve, as [name=]SOURCE with SOURCE a CSR file or a generator spec kind:key=value,... (repeatable); kinds and defaults:"+gen.SpecUsage())
 	workers := flag.Int("workers", 0, "traversal workers (0 = GOMAXPROCS)")
 	pool := flag.Int("pool", 2, "engines per graph")
 	queue := flag.Int("queue", 256, "admission queue bound")
@@ -154,7 +167,7 @@ func main() {
 		return
 	}
 	if cf.shardID >= 0 {
-		g, err := loadClusterGraph(graphs, *genKind, *n, *degree, *scale, *edgeFactor, *seed, *mmapLoads)
+		g, err := loadClusterGraph(graphs, *mmapLoads)
 		if err != nil {
 			log.Fatalf("bfsd: %v", err)
 		}
@@ -164,7 +177,7 @@ func main() {
 		return
 	}
 
-	opts := bfs.Default(*sockets)
+	opts := bfs.Default(1)
 	opts.Workers = *workers
 	opts.Hybrid = *hybrid
 	opts.Symmetric = *symmetric
@@ -222,7 +235,7 @@ func main() {
 		}
 	}
 
-	if err := loadGraphs(svc, graphs, *genKind, *name, *n, *degree, *scale, *edgeFactor, *seed, *stateDir != ""); err != nil {
+	if err := loadGraphs(svc, graphs, *stateDir != ""); err != nil {
 		log.Fatalf("bfsd: %v", err)
 	}
 	for _, gi := range svc.Graphs() {
@@ -269,42 +282,27 @@ func main() {
 	log.Printf("drained cleanly")
 }
 
-// loadGraphs registers every -graph file and/or the generated graph.
-// File graphs go through the service's load path, so -mmap applies and,
-// in durable mode, they are journaled like any other load (a restart
-// without the flags still serves them). Generated graphs have no file
-// to reload from and stay in-memory only.
-func loadGraphs(svc *serve.Service, graphs graphFlags, genKind, name string, n, degree, scale, edgeFactor int, seed uint64, durable bool) error {
-	for _, spec := range graphs {
-		gname, path, ok := strings.Cut(spec, "=")
-		if !ok {
-			path = spec
-			gname = strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))
+// loadGraphs registers every -graph value. File graphs go through the
+// service's load path, so -mmap applies and, in durable mode, they are
+// journaled like any other load (a restart without the flags still
+// serves them). Generated graphs have no file to reload from and stay
+// in-memory only.
+func loadGraphs(svc *serve.Service, graphs graphFlags, durable bool) error {
+	for _, v := range graphs {
+		name, source := splitGraphFlag(v)
+		if !gen.IsSpec(source) {
+			if _, err := svc.LoadGraph(name, source); err != nil {
+				return fmt.Errorf("loading %q: %w", source, err)
+			}
+			continue
 		}
-		if _, err := svc.LoadGraph(gname, path); err != nil {
-			return fmt.Errorf("loading %q: %w", path, err)
-		}
-	}
-	switch genKind {
-	case "":
-	case "ur":
-		g, err := gen.UniformRandom(n, degree, seed)
+		g, err := gen.Open(source, false)
 		if err != nil {
 			return err
 		}
 		if err := svc.AddGraph(name, g); err != nil {
 			return err
 		}
-	case "rmat":
-		g, err := gen.RMAT(gen.Graph500Params(scale, edgeFactor), seed)
-		if err != nil {
-			return err
-		}
-		if err := svc.AddGraph(name, g); err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("unknown -gen kind %q", genKind)
 	}
 	if len(svc.Graphs()) == 0 {
 		if durable {
@@ -313,7 +311,7 @@ func loadGraphs(svc *serve.Service, graphs graphFlags, genKind, name string, n, 
 			log.Printf("no graphs yet; load them via POST /graphs/load")
 			return nil
 		}
-		return errors.New("no graphs: pass -graph and/or -gen")
+		return errors.New("no graphs: pass -graph")
 	}
 	return nil
 }

@@ -1,13 +1,14 @@
 // Command bfsrun traverses a graph (loaded from a CSR file written by
-// graphgen, or generated on the fly) and reports traversal rate,
-// per-step metrics and validation status.
+// graphgen, or generated on the fly from a generator spec, as graphgen
+// takes it) and reports traversal rate, per-step metrics and validation
+// status.
 //
 // Usage:
 //
 //	bfsrun -graph rmat.csr -source 0 -sockets 2
-//	bfsrun -gen rmat -scale 18 -edgefactor 16 -trace
-//	bfsrun -gen rmat -sources 0,17,4242 -serial=false
-//	bfsrun -gen rmat -scale 20 -hybrid            # direction-optimizing
+//	bfsrun -graph rmat:scale=18,ef=16 -trace
+//	bfsrun -graph rmat:scale=18 -sources 0,17,4242 -serial=false
+//	bfsrun -graph rmat:scale=20 -hybrid           # direction-optimizing
 //	bfsrun -graph road.csr -hybrid -alpha 100     # eager switch-down
 //
 // With -sources, one engine is reused across every source (the serving
@@ -32,13 +33,7 @@ import (
 )
 
 func main() {
-	path := flag.String("graph", "", "CSR graph file (from graphgen)")
-	genKind := flag.String("gen", "", "generate instead: ur | rmat")
-	n := flag.Int("n", 1<<18, "vertices for -gen ur")
-	degree := flag.Int("degree", 16, "degree for -gen ur")
-	scale := flag.Int("scale", 18, "log2 vertices for -gen rmat")
-	edgeFactor := flag.Int("edgefactor", 16, "edge factor for -gen rmat")
-	seed := flag.Uint64("seed", 1, "generator seed")
+	graphSrc := flag.String("graph", "", "CSR graph file (from graphgen) or generator spec kind:key=value,... (required); kinds and defaults:"+gen.SpecUsage())
 	source := flag.Int("source", -1, "starting vertex (-1 = best of 8 probes)")
 	sourcesFlag := flag.String("sources", "", "comma-separated sources; one engine is reused across all of them")
 	sockets := flag.Int("sockets", 2, "simulated sockets (power of two)")
@@ -59,7 +54,11 @@ func main() {
 		*doTrace = true
 	}
 
-	g, err := loadOrGen(*path, *genKind, *n, *degree, *scale, *edgeFactor, *seed)
+	if *graphSrc == "" {
+		fmt.Fprintln(os.Stderr, "bfsrun: -graph is required")
+		os.Exit(1)
+	}
+	g, err := gen.Open(*graphSrc, false)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "bfsrun: %v\n", err)
 		os.Exit(1)
@@ -223,20 +222,5 @@ func runSources(ctx context.Context, g *graph.Graph, o bfs.Options, list string,
 		totElapsed.Round(time.Microsecond), agg)
 	if doValidate {
 		fmt.Println("validation: OK (all sources, valid BFS trees matching serial reference)")
-	}
-}
-
-func loadOrGen(path, kind string, n, degree, scale, edgeFactor int, seed uint64) (*graph.Graph, error) {
-	switch {
-	case path != "":
-		return graph.Load(path)
-	case kind == "ur":
-		return gen.UniformRandom(n, degree, seed)
-	case kind == "rmat":
-		return gen.RMAT(gen.Graph500Params(scale, edgeFactor), seed)
-	case kind == "":
-		return nil, fmt.Errorf("either -graph or -gen is required")
-	default:
-		return nil, fmt.Errorf("unknown -gen kind %q", kind)
 	}
 }

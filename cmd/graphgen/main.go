@@ -1,14 +1,17 @@
 // Command graphgen generates a synthetic graph and writes it in the
-// fastbfs binary CSR format.
+// fastbfs binary CSR format. The graph is a generator spec,
+// kind:key=value,...; keys left out take their defaults (graphgen -h
+// lists every kind with them).
 //
 // Usage:
 //
-//	graphgen -kind ur -n 1048576 -degree 16 -o ur.csr
-//	graphgen -kind rmat -scale 20 -edgefactor 16 -o rmat.csr
-//	graphgen -kind grid -rows 1024 -cols 1024 -o road.csr
-//	graphgen -kind pa -n 100000 -degree 8 -o social.csr
-//	graphgen -kind stress -n 65536 -degree 8 -o stress.csr
-//	graphgen -kind kron -scale 20 -edgefactor 16 -o toy.csr
+//	graphgen -graph ur:n=1048576,degree=16 -o ur.csr
+//	graphgen -graph rmat:scale=20,ef=16 -o rmat.csr
+//	graphgen -graph grid:rows=1024,cols=1024 -o road.csr
+//	graphgen -graph pa:n=100000,degree=8 -o social.csr
+//	graphgen -graph stress:n=65536,degree=8 -o stress.csr
+//	graphgen -graph kron:scale=20,ef=16 -o toy.csr
+//	graphgen -graph rmat.csr -symmetrize -o rmat-sym.csr
 package main
 
 import (
@@ -21,54 +24,16 @@ import (
 )
 
 func main() {
-	kind := flag.String("kind", "ur", "ur | random | rmat | kron | grid | pa | stress | mesh | smallworld")
-	n := flag.Int("n", 1<<20, "vertices (ur/random/pa/stress/smallworld)")
-	degree := flag.Int("degree", 16, "degree / edge factor / attachment count")
-	scale := flag.Int("scale", 20, "log2 vertices (rmat/kron)")
-	edgeFactor := flag.Int("edgefactor", 16, "edges per vertex (rmat/kron)")
-	rows := flag.Int("rows", 1024, "grid rows")
-	cols := flag.Int("cols", 1024, "grid cols")
-	shortcuts := flag.Int("shortcuts", 0, "grid shortcut edges per 1000 vertices")
-	rewire := flag.Float64("rewire", 0.1, "small-world rewiring probability")
-	seed := flag.Uint64("seed", 1, "generator seed")
+	source := flag.String("graph", "", "generator spec kind:key=value,... or a CSR file (required); kinds and defaults:"+gen.SpecUsage())
 	symmetrize := flag.Bool("symmetrize", false, "add every reverse edge (serve with bfsd -symmetric)")
 	out := flag.String("o", "", "output path (required)")
 	flag.Parse()
 
-	if *out == "" {
-		fmt.Fprintln(os.Stderr, "graphgen: -o output path is required")
+	if *source == "" || *out == "" {
+		fmt.Fprintln(os.Stderr, "graphgen: -graph and -o are required")
 		os.Exit(2)
 	}
-
-	var g *graph.Graph
-	var err error
-	switch *kind {
-	case "ur":
-		g, err = gen.UniformRandom(*n, *degree, *seed)
-	case "random":
-		g, err = gen.RandomEdges(*n, int64(*n)*int64(*degree), *seed)
-	case "rmat":
-		g, err = gen.RMAT(gen.Graph500Params(*scale, *edgeFactor), *seed)
-	case "kron":
-		g, err = gen.Kronecker(*scale, *edgeFactor, *seed)
-	case "grid":
-		g, err = gen.Grid2D(*rows, *cols, *shortcuts, *seed)
-	case "pa":
-		g, err = gen.PreferentialAttachment(*n, *degree, *seed)
-	case "stress":
-		g, err = gen.StressBipartite(*n, *degree, *seed)
-	case "mesh":
-		d := 1
-		for d*d*d < *n {
-			d++
-		}
-		g, err = gen.BandedMesh(d, d, d)
-	case "smallworld":
-		g, err = gen.SmallWorld(*n, *degree, *rewire, *seed)
-	default:
-		fmt.Fprintf(os.Stderr, "graphgen: unknown kind %q\n", *kind)
-		os.Exit(2)
-	}
+	g, err := gen.Open(*source, false)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "graphgen: %v\n", err)
 		os.Exit(1)

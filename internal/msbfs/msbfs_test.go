@@ -1,8 +1,8 @@
 package msbfs
 
 import (
-	"errors"
 	"context"
+	"errors"
 	"testing"
 
 	"fastbfs/graph"
