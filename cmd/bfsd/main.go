@@ -71,11 +71,13 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
 	"path/filepath"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 
@@ -207,7 +209,8 @@ func main() {
 	// The listener comes up before recovery so /readyz is observable
 	// (503) while the journal replays; load balancers route only after
 	// the pre-crash graph set is back.
-	server := &http.Server{Addr: *addr, Handler: serve.NewHandler(svc)}
+	conns := newFreshConns()
+	server := &http.Server{Addr: *addr, Handler: serve.NewHandler(svc), ConnState: conns.track}
 	errCh := make(chan error, 1)
 	go func() {
 		log.Printf("listening on %s", *addr)
@@ -270,6 +273,7 @@ func main() {
 
 	log.Printf("draining (up to %v)...", *drainTimeout)
 	svc.BeginDrain() // healthz → 503 immediately, before the listener closes
+	conns.drain()
 	dctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
 	if err := server.Shutdown(dctx); err != nil {
@@ -280,6 +284,50 @@ func main() {
 		os.Exit(1)
 	}
 	log.Printf("drained cleanly")
+}
+
+// freshConns tracks the connections in http.StateNew — accepted, no
+// request read yet — through the server's ConnState hook, so a drain can
+// close them. http.Server.Shutdown closes idle connections at once but
+// gives a new one a fixed 5 s to send its first request, and a client
+// transport that dialed a spare connection and never used it holds the
+// drain that long. A request that was on its way over such a connection
+// fails as it would have against the closed listener a moment later.
+type freshConns struct {
+	mu       sync.Mutex
+	conns    map[net.Conn]struct{}
+	draining bool
+}
+
+func newFreshConns() *freshConns {
+	return &freshConns{conns: map[net.Conn]struct{}{}}
+}
+
+// track is the http.Server ConnState hook.
+func (f *freshConns) track(c net.Conn, state http.ConnState) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if state != http.StateNew {
+		delete(f.conns, c)
+		return
+	}
+	if f.draining {
+		c.Close() // accepted while the listener was closing
+		return
+	}
+	f.conns[c] = struct{}{}
+}
+
+// drain closes every connection still in StateNew, and any accepted
+// from now on.
+func (f *freshConns) drain() {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.draining = true
+	for c := range f.conns {
+		c.Close()
+		delete(f.conns, c)
+	}
 }
 
 // loadGraphs registers every -graph value. File graphs go through the

@@ -1,6 +1,13 @@
 package main
 
-import "testing"
+import (
+	"context"
+	"io"
+	"net"
+	"net/http"
+	"testing"
+	"time"
+)
 
 // TestSplitGraphFlag pins how a -graph value splits into a served name
 // and a source. Paths and name=path split as they always have, since
@@ -27,5 +34,65 @@ func TestSplitGraphFlag(t *testing.T) {
 		if name != c.name || source != c.source {
 			t.Errorf("splitGraphFlag(%q) = (%q, %q), want (%q, %q)", c.flag, name, source, c.name, c.source)
 		}
+	}
+}
+
+// TestDrainClosesFreshConns: a connection that was accepted but never
+// sent a request must not hold a drain. http.Server.Shutdown alone waits
+// 5 s for such a connection; with freshConns closing it at drain, the
+// drain takes well under a second, and a request on a used connection
+// is still answered first.
+func TestDrainClosesFreshConns(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	conns := newFreshConns()
+	server := &http.Server{
+		Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			io.WriteString(w, "ok")
+		}),
+		ConnState: conns.track,
+	}
+	served := make(chan error, 1)
+	go func() { served <- server.Serve(ln) }()
+
+	resp, err := http.Get("http://" + ln.Addr().String() + "/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+
+	idle, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idle.Close()
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		conns.mu.Lock()
+		n := len(conns.conns)
+		conns.mu.Unlock()
+		if n == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d fresh connections tracked, want the idle dial", n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	start := time.Now()
+	conns.drain()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := server.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	if took := time.Since(start); took >= time.Second {
+		t.Fatalf("drain took %v with one idle connection, want < 1s", took)
+	}
+	if err := <-served; err != http.ErrServerClosed {
+		t.Fatalf("Serve returned %v", err)
 	}
 }

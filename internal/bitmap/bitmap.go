@@ -3,7 +3,8 @@
 // array, in every variant compared in Figure 4.
 //
 //   - Bitmap: one bit per vertex, updated with plain (non LOCK-prefixed)
-//     loads and stores — the paper's atomic-free scheme. A concurrent
+//     loads and stores — the paper's atomic-free scheme (sync/atomic
+//     ones under the race detector, see access.go). A concurrent
 //     store may drop a sibling bit within the same word; callers repair
 //     this benign race by re-checking the DP entry (paper §III-A).
 //   - AtomicBitmap: one bit per vertex updated with Compare-And-Swap —
@@ -35,12 +36,11 @@ type VIS interface {
 	SizeBytes() int64
 }
 
-// Bitmap is the atomic-free bit-per-vertex VIS. Loads and stores use
-// sync/atomic Load/Store on 32-bit words. On x86-64 a Load is a plain MOV
-// but a Store is an XCHG, a full fence the paper's unlocked store does
-// not pay. Neither is a read-modify-write, so the race detector stays
-// silent and the algorithm's benign lost-update window within a word is
-// preserved.
+// Bitmap is the atomic-free bit-per-vertex VIS. TrySet and Get use plain
+// 32-bit word loads and stores (a MOV each on x86-64; sync/atomic
+// Load/Store under the race detector, whose Store is an XCHG fence).
+// Neither is a read-modify-write, so the algorithm's benign lost-update
+// window within a word is the paper's.
 type Bitmap struct {
 	words []uint32
 }
@@ -51,23 +51,27 @@ func NewBitmap(n int) *Bitmap {
 }
 
 // TrySet implements VIS with the paper's Figure 2(b) protocol.
-func (b *Bitmap) TrySet(v uint32) bool {
-	w := v >> 5
+func (b *Bitmap) TrySet(v uint32) bool { return TrySetIn(b.words, v) }
+
+// TrySetIn is Bitmap.TrySet on the bitmap's word array (Words), for a
+// kernel that hoists the array out of its loop; it inlines.
+func TrySetIn(words []uint32, v uint32) bool {
+	w := &words[v>>5]
 	bit := uint32(1) << (v & 31)
-	old := atomic.LoadUint32(&b.words[w])
+	old := load(w)
 	if old&bit != 0 {
 		return false // definitely visited
 	}
 	// Plain store: may drop a bit a racing thread set in the same word
 	// (the paper's scenario (2)); the DP guard repairs it.
-	atomic.StoreUint32(&b.words[w], old|bit)
+	store(w, old|bit)
 	return true
 }
 
 // Get reports whether v's bit is set. A false result may be stale under
 // concurrency (benign, per the VIS protocol).
 func (b *Bitmap) Get(v uint32) bool {
-	return atomic.LoadUint32(&b.words[v>>5])&(1<<(v&31)) != 0
+	return load(&b.words[v>>5])&(1<<(v&31)) != 0
 }
 
 // Reset clears the bitmap.
@@ -152,12 +156,13 @@ func (a *AtomicBitmap) Reset() { clearWords(a.words) }
 // SizeBytes implements VIS.
 func (a *AtomicBitmap) SizeBytes() int64 { return int64(len(a.words)) * 4 }
 
-// ByteMap is the byte-per-vertex atomic-free VIS (paper footnote 2).
-// Byte-granularity stores are architecturally atomic, so no sibling bits
-// can be lost; the only race is two threads claiming the same vertex,
-// repaired by the DP guard as usual.
+// ByteMap is the byte-per-vertex atomic-free VIS (paper footnote 2),
+// with Bitmap's plain word accesses. The flags are packed four to a
+// 32-bit word, so a racing word store can drop a sibling's flag as in
+// Bitmap; the DP guard repairs it, and also the race of two threads
+// claiming the same vertex.
 type ByteMap struct {
-	bytes []uint32 // packed 4 flags per word to keep atomic ops available
+	bytes []uint32 // packed 4 flags per word
 }
 
 // NewByteMap returns a ByteMap covering n vertices.
@@ -169,17 +174,17 @@ func NewByteMap(n int) *ByteMap {
 func (m *ByteMap) TrySet(v uint32) bool {
 	w := v >> 2
 	shift := (v & 3) * 8
-	old := atomic.LoadUint32(&m.bytes[w])
+	old := load(&m.bytes[w])
 	if old&(0xff<<shift) != 0 {
 		return false
 	}
-	atomic.StoreUint32(&m.bytes[w], old|(1<<shift))
+	store(&m.bytes[w], old|(1<<shift))
 	return true
 }
 
 // Get reports whether v's byte is set.
 func (m *ByteMap) Get(v uint32) bool {
-	return atomic.LoadUint32(&m.bytes[v>>2])&(0xff<<((v&3)*8)) != 0
+	return load(&m.bytes[v>>2])&(0xff<<((v&3)*8)) != 0
 }
 
 // Reset clears the map.

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/bits"
-	"time"
 
 	"fastbfs/graph"
 	"fastbfs/internal/numa"
@@ -41,11 +40,11 @@ func (e *Engine) buWords(w int) (lo, hi int) {
 	return par.Range(e.nextBit.NumWords(), w, e.cfg.Workers)
 }
 
-// bottomUpStep runs one bottom-up level: the optional array→bitmap
-// frontier conversion, this worker's share of the in-neighbor scan, and
-// (on worker 0) the step finish. Returns false when the worker must
-// exit — a broken barrier or a stop decision.
-func (e *Engine) bottomUpStep(st *workerState, step uint32, maxSteps int) bool {
+// bottomUpStep runs this worker's share of one bottom-up level: the
+// optional array→bitmap frontier conversion and the in-neighbor scan.
+// The worker loop closes the level. Returns false when the worker must
+// exit (a broken barrier).
+func (e *Engine) bottomUpStep(st *workerState, step uint32, m *trace.StepMetrics) bool {
 	w := st.id
 	wLo, wHi := e.buWords(w)
 	// Clear this worker's share of the next-frontier bitmap. No barrier
@@ -71,22 +70,9 @@ func (e *Engine) bottomUpStep(st *workerState, step uint32, maxSteps int) bool {
 	}
 
 	e.bottomUp(st, step, wLo, wHi)
-	if !e.bar.Wait() {
-		return false
-	}
-
-	if w == 0 {
-		var m trace.StepMetrics
-		m.Step = int(step)
-		m.Frontier = e.awake
-		m.BottomUp = true
-		m.Phase1 = time.Since(e.stepMark)
-		e.finishStep(step, maxSteps, &m)
-	}
-	if !e.bar.Wait() {
-		return false
-	}
-	return !e.stop
+	m.Frontier = e.awake
+	m.BottomUp = true
+	return true
 }
 
 // bottomUp scans this worker's vertex range for unvisited vertices and
@@ -136,6 +122,7 @@ func (e *Engine) bottomUp(st *workerState, depth uint32, wLo, wHi int) {
 					claimed |= 1 << b
 					next = append(next, v)
 					st.appends++
+					st.nextDeg += int64(e.g.Offsets[v+1] - e.g.Offsets[v])
 					break
 				}
 			}
@@ -206,8 +193,9 @@ func (e *Engine) markClaimedEach(base, mask uint32) {
 // directionStep records the finished level's direction and decides the
 // next one (Beamer's α/β heuristic in the GAP formulation). Runs on
 // worker 0 inside finishStep, after the frontier swap: `total` is the
-// size of the frontier the next level will expand.
-func (e *Engine) directionStep(m *trace.StepMetrics, total int64) {
+// size of the frontier the next level will expand and `scout` its
+// out-edge sum, m_f.
+func (e *Engine) directionStep(m *trace.StepMetrics, total, scout int64) {
 	e.dirs = append(e.dirs, e.dir)
 	e.buConvert = false
 	if e.dir == DirTopDown {
@@ -215,11 +203,6 @@ func (e *Engine) directionStep(m *trace.StepMetrics, total int64) {
 		// steps leave it alone, matching GAP: the estimate only needs to
 		// be conservative).
 		e.muEdges -= m.Edges
-		var scout int64 // m_f: out-edge sum of the frontier just produced
-		for _, st := range e.ws {
-			scout += st.nextDeg
-			st.nextDeg = 0
-		}
 		// The new frontier's out-edges are by definition unexamined, so
 		// m_u >= m_f. Without duplicate claims that already holds and this
 		// is a no-op; a racing cohort expands a doubly-claimed vertex twice,

@@ -44,7 +44,7 @@ type workerState struct {
 	// Step-local metrics.
 	edges   int64
 	appends int64
-	nextDeg int64 // out-degree sum of vertices this worker claimed (hybrid m_f)
+	nextDeg int64 // out-degree sum of vertices this worker claimed (m_f)
 	traffic *numa.Traffic
 
 	sink uint64 // prefetch sink; defeats dead-code elimination
@@ -62,6 +62,14 @@ type Engine struct {
 	geo  geometry
 	enc  pbv.Encoding // resolved from cfg.Encoding for this graph
 
+	// twoPhase is resolved from the scheme and the geometry, like enc:
+	// top-down cohort levels bin neighbours into PBV arrays (Phase-I)
+	// and update VIS/DP from the bins (Phase-II) only when there is more
+	// than one bin to sort them into, N_PBV = N_S·N_VIS > 1 (paper
+	// §III-B). With one bin Phase-II would read back exactly what
+	// Phase-I wrote, so the level expands in one pass (direct).
+	twoPhase bool
+
 	dp        []uint64
 	visBit    *bitmap.Bitmap
 	visByte   *bitmap.ByteMap
@@ -72,8 +80,9 @@ type Engine struct {
 	bar      *par.Barrier
 
 	// serialBelow is the per-level work bound of the small-frontier fast
-	// path (see serialLevelWork). A field rather than the constant so
-	// in-package tests can force the path off (0) or always on (MaxInt64).
+	// path (serialLevelWork, or serialLevelWorkSolo at one worker). A
+	// field rather than the constant so in-package tests can force the
+	// path off (0) or always on (MaxInt64).
 	serialBelow int64
 
 	// Hybrid (direction-optimizing) state, allocated when cfg.Hybrid.
@@ -91,9 +100,10 @@ type Engine struct {
 	ctx context.Context
 
 	// Shared step state, written by worker 0 between barriers; the
-	// mutex-based barrier provides the happens-before edges.
-	curLayout   *frontier.Layout
+	// barrier's atomics provide the happens-before edges.
+	curLayout   frontier.Layout
 	p2Layout    *pbv.Layout
+	curDeg      int64 // out-degree sum of e.cur (m_f; duplicates count twice)
 	stop        bool
 	err         error
 	steps       int
@@ -101,7 +111,7 @@ type Engine struct {
 	totApps     int64
 	runTrace    *trace.RunTrace
 	stepTraffic *numa.Traffic
-	stepMark    time.Time
+	stepMark    time.Time // level start; kept only when instrumented
 
 	// Hybrid step state (also worker-0-written between barriers).
 	dir       Direction   // direction of the step in progress
@@ -134,6 +144,9 @@ func New(g *graph.Graph, cfg Config) (*Engine, error) {
 
 		serialBelow: serialLevelWork,
 	}
+	if cfg.Workers == 1 {
+		e.serialBelow = serialLevelWorkSolo
+	}
 	switch cfg.VIS {
 	case VISAtomicBit:
 		e.visAtomic = bitmap.NewAtomicBitmap(n)
@@ -151,6 +164,7 @@ func New(g *graph.Graph, cfg Config) (*Engine, error) {
 		avgDeg = float64(g.NumEdges()) / float64(n)
 	}
 	e.enc = cfg.Encoding.Choose(e.geo.nPBV, avgDeg)
+	e.twoPhase = cfg.Scheme != SchemeSinglePhase && e.geo.nPBV > 1
 
 	shift, regions := frontier.RegionShift(n, 4*g.NumEdges(), cfg.PageBytes, cfg.TLBEntries)
 	e.ws = make([]*workerState, cfg.Workers)
@@ -299,6 +313,7 @@ func (e *Engine) RunContext(ctx context.Context, source uint32) (*Result, error)
 		e.visBit.TrySet(source)
 	}
 	e.cur.Arrays[0] = append(e.cur.Arrays[0][:0], source)
+	e.curDeg = int64(e.g.Offsets[source+1] - e.g.Offsets[source])
 	e.totApps = 1 // the seeded source counts as visited work
 
 	start := time.Now()
@@ -308,7 +323,12 @@ func (e *Engine) RunContext(ctx context.Context, source uint32) (*Result, error)
 	// traversal whose every level stays small ends here and never
 	// launches the cohort.
 	maxSteps := e.stepLimit()
-	runErr := par.Run(1, func(int) { e.serialLevels(maxSteps) })
+	runErr := par.Run(1, func(int) {
+		e.serialLevels(maxSteps)
+		if !e.stop {
+			e.beginLevel()
+		}
+	})
 	if runErr == nil && !e.stop {
 		// A panicking worker poisons the barrier before re-panicking so
 		// the surviving workers drain instead of deadlocking; par.Run
@@ -375,120 +395,143 @@ func (e *Engine) stepLimit() int {
 	return e.g.NumVertices() + 1
 }
 
-// worker is the per-goroutine step loop (paper Figure 3).
+// worker is the per-goroutine step loop (paper Figure 3). A level is
+// the direction's expansion, the end-of-level barrier, worker 0's
+// exclusive window (finishStep) and the barrier that publishes it. The
+// cohort starts on a published level: RunContext built the first one's
+// layout before launching it.
+//
+// The step number and the direction are read from e.steps and e.dir,
+// which only worker 0 writes, inside its window: the step is not a local
+// counter because finishStep may have run further levels serially, and
+// the whole cohort takes the same branch (the branches use different
+// barrier counts — divergence would deadlock). The context is polled
+// only inside worker 0's windows too: a write to e.stop outside them
+// could be seen by some workers and not others.
 func (e *Engine) worker(w, maxSteps int) {
 	st := e.ws[w]
-	twoPhase := e.cfg.Scheme != SchemeSinglePhase
-
 	for {
-		if w == 0 {
-			if e.dir == DirTopDown {
-				e.curLayout = frontier.BuildLayout(e.cur)
-			}
-			e.stepMark = time.Now()
-		}
-		// The context is NOT checked here: between the end-of-step barrier
-		// and this one the other workers read e.stop unsynchronized, so a
-		// write from worker 0 in this window could be seen by some workers
-		// and not others, splitting the cohort and deadlocking the barrier.
-		// Worker 0 polls ctx only inside its exclusive windows (mid-phase
-		// and finishStep), which the barriers order against every read.
-		if !e.bar.Wait() || e.stop {
-			return
-		}
-
-		// e.steps and e.dir were written by worker 0 in the previous
-		// finishStep (or the prologue); the barrier above orders those
-		// writes against these reads. The step number is not a local
-		// counter because finishStep may have run further levels serially.
-		// The whole cohort takes the same direction branch (the two paths
-		// use different barrier counts — divergence would deadlock).
 		step := uint32(e.steps) + 1
-		if e.dir == DirBottomUp {
-			if !e.bottomUpStep(st, step, maxSteps) {
-				return
-			}
-			continue
-		}
-
 		var m trace.StepMetrics
-		var tPhase1, tPhase2 time.Duration
-		if twoPhase {
-			e.phase1(st, step)
-			if !e.bar.Wait() {
-				return
-			}
-			if w == 0 {
-				if err := e.ctx.Err(); err != nil {
-					e.err, e.stop = err, true
-				} else {
-					tPhase1 = time.Since(e.stepMark)
-					e.p2Layout = pbv.BuildLayout(e.cfg.Workers, e.geo.nPBV, func(wk, b int) int {
-						return len(e.ws[wk].bins.Bins[b])
-					})
-					e.stepMark = time.Now()
-				}
-			}
-			if !e.bar.Wait() || e.stop {
-				return
-			}
-			e.phase2(st, step)
-		} else {
+		var ok bool
+		switch {
+		case e.dir == DirBottomUp:
+			ok = e.bottomUpStep(st, step, &m)
+		case e.twoPhase:
+			ok = e.twoPhaseStep(st, step, &m)
+		default:
 			e.direct(st, step)
+			e.rearrange(st, &m)
+			ok = true
 		}
-		if !e.bar.Wait() {
+		if !ok || !e.bar.Wait() {
 			return
 		}
-
-		var tRearr time.Duration
-		if e.cfg.Rearrange {
-			if w == 0 {
-				tPhase2 = time.Since(e.stepMark)
-				e.stepMark = time.Now()
-			}
-			if !e.bar.Wait() {
-				return
-			}
-			if st.rearr != nil {
-				st.rearr.Rearrange(e.nxt.Arrays[w])
-			}
-			if !e.bar.Wait() {
-				return
-			}
-			if w == 0 {
-				tRearr = time.Since(e.stepMark)
-			}
-		} else if w == 0 {
-			tPhase2 = time.Since(e.stepMark)
-		}
-
 		if w == 0 {
-			if !twoPhase {
-				tPhase1, tPhase2 = tPhase2, 0
-			}
-			m.Step = int(step)
-			m.Frontier = e.curLayout.Total()
-			m.Phase1, m.Phase2, m.Rearr = tPhase1, tPhase2, tRearr
 			e.finishStep(step, maxSteps, &m)
 		}
-		if !e.bar.Wait() {
-			return
-		}
-		if e.stop {
+		if !e.bar.Wait() || e.stop {
 			return
 		}
 	}
 }
 
-// finishStep closes a cohort level on worker 0 between barriers, then
-// runs any small levels that follow on this same goroutine. The other
-// workers are parked on the end-of-step barrier for the whole call, so
-// the serial levels need no barrier of their own and cannot split the
-// cohort: whatever e.stop/e.dir/e.steps they leave behind is published
-// by that one barrier exactly as a single level's would be.
+// twoPhaseStep is one top-down level of the paper's two-phase scheme:
+// Phase-I bins, a barrier, worker 0 lays out the bins, a barrier,
+// Phase-II. Returns false when the worker must exit.
+func (e *Engine) twoPhaseStep(st *workerState, step uint32, m *trace.StepMetrics) bool {
+	e.phase1(st, step)
+	if !e.bar.Wait() {
+		return false
+	}
+	if st.id == 0 {
+		if err := e.ctx.Err(); err != nil {
+			e.err, e.stop = err, true
+		} else {
+			if e.runTrace != nil {
+				m.Phase1 = time.Since(e.stepMark)
+				e.stepMark = time.Now()
+			}
+			e.p2Layout = pbv.BuildLayout(e.cfg.Workers, e.geo.nPBV, func(wk, b int) int {
+				return len(e.ws[wk].bins.Bins[b])
+			})
+		}
+	}
+	if !e.bar.Wait() || e.stop {
+		return false
+	}
+	e.phase2(st, step)
+	e.rearrange(st, m)
+	return true
+}
+
+// rearrangeMin is the smallest next array a single-phase level
+// rearranges. Measured on a 2-vCPU host at W=2, rearranging every level
+// against Config.Rearrange off: on the grid's levels of
+// BenchmarkSmallLevel, about 500 vertices per worker, it cost 1.5-5 us
+// of a 15-25 us level; on its scale-16 R-MAT (arrays up to ~20K) the two
+// were within noise; on a scale-20 R-MAT top-down run, levels of 10^5
+// vertices and more, it saved 4 % (9.3 against 9.7 ns/edge).
+const rearrangeMin = 16 << 10
+
+// rearrange applies the TLB rearrangement to this worker's next array
+// (paper §III-B3(b)): on every two-phase level, and on a single-phase
+// level when the array holds at least rearrangeMin vertices. The array
+// is the worker's own, so it needs no barrier; with a trace, worker 0
+// times its own share.
+func (e *Engine) rearrange(st *workerState, m *trace.StepMetrics) {
+	next := e.nxt.Arrays[st.id]
+	if st.rearr == nil || !e.twoPhase && len(next) < rearrangeMin {
+		return
+	}
+	if e.runTrace == nil || st.id != 0 {
+		st.rearr.Rearrange(next)
+		return
+	}
+	begin := time.Now()
+	st.rearr.Rearrange(next)
+	m.Rearr = time.Since(begin)
+}
+
+// finishStep closes a cohort level on worker 0 between barriers, runs
+// any small levels that follow on this same goroutine, and lays out the
+// next cohort level. The other workers are waiting on the barrier that
+// publishes this window for the whole call, so the serial levels need no
+// barrier of their own and cannot split the cohort: whatever e.stop,
+// e.dir, e.steps and e.curLayout they leave behind is published by that
+// one barrier exactly as a single level's would be.
 func (e *Engine) finishStep(step uint32, maxSteps int, m *trace.StepMetrics) {
+	m.Step = int(step)
+	if e.runTrace != nil {
+		// The level's wall time since the last mark, less worker 0's
+		// rearrangement, goes to the phase that ran last.
+		tail := time.Since(e.stepMark) - m.Rearr
+		if e.dir == DirTopDown && e.twoPhase {
+			m.Phase2 = tail
+		} else {
+			m.Phase1 = tail
+		}
+	}
+	if e.dir == DirTopDown {
+		m.Frontier = e.curLayout.Total()
+	}
 	e.closeLevel(step, maxSteps, m)
 	e.serialLevels(maxSteps)
+	if !e.stop {
+		e.beginLevel()
+	}
+}
+
+// beginLevel prepares the next cohort level on the goroutine that has
+// the engine to itself: the frontier layout a top-down level divides,
+// and the level's start mark when tracing.
+func (e *Engine) beginLevel() {
+	if e.dir == DirTopDown {
+		e.curLayout.Build(e.cur)
+	}
+	if e.runTrace != nil {
+		e.stepMark = time.Now()
+	}
 }
 
 // closeLevel aggregates a level's metrics, swaps frontiers, picks the
@@ -496,14 +539,16 @@ func (e *Engine) finishStep(step uint32, maxSteps int, m *trace.StepMetrics) {
 // itself: on worker 0 between barriers, or on the serial fast path.
 func (e *Engine) closeLevel(step uint32, maxSteps int, m *trace.StepMetrics) {
 	bu := e.dir == DirBottomUp
-	binned := !bu && !m.Serial && e.cfg.Scheme != SchemeSinglePhase
+	binned := !bu && !m.Serial && e.twoPhase
+	var deg int64
 	for _, st := range e.ws {
 		m.Edges += st.edges
 		m.NewVertices += st.appends
+		deg += st.nextDeg
 		if binned {
 			m.PBVEntries += st.bins.Entries()
 		}
-		st.edges, st.appends = 0, 0
+		st.edges, st.appends, st.nextDeg = 0, 0, 0
 	}
 	e.totEdges += m.Edges
 	e.totApps += m.NewVertices
@@ -550,8 +595,9 @@ func (e *Engine) closeLevel(step uint32, maxSteps int, m *trace.StepMetrics) {
 	total := e.nxt.Total()
 	e.cur, e.nxt = e.nxt, e.cur
 	e.nxt.Reset()
+	e.curDeg = deg
 	if e.cfg.Hybrid {
-		e.directionStep(m, total)
+		e.directionStep(m, total, deg)
 		e.awake = total
 	}
 	if total == 0 {

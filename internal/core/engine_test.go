@@ -35,9 +35,10 @@ func testGraphs(tb testing.TB) map[string]*graph.Graph {
 
 // serialBounds are the fast-path settings the parity matrices run under:
 // off (every level on the cohort — most test graphs are small enough to
-// fall entirely under the shipped bound, so without this row the PBV
-// path would lose its coverage), the shipped bound, and always on.
-var serialBounds = []int64{0, serialLevelWork, math.MaxInt64}
+// fall entirely under the shipped bounds, so without this row the PBV
+// path would lose its coverage), the shipped bounds for two or more
+// workers and for one, and always on.
+var serialBounds = []int64{0, serialLevelWork, serialLevelWorkSolo, math.MaxInt64}
 
 func sameDepths(t *testing.T, g *graph.Graph, want, got *Result, label string) {
 	t.Helper()

@@ -256,3 +256,54 @@ func TestFastPathEngineReuse(t *testing.T) {
 		}
 	}
 }
+
+// TestFastPathBoundReadsClaimedDegrees checks the fast-path decision
+// against a recount: the engine decides from the out-degree sum its
+// workers accumulated while claiming the frontier (Engine.curDeg), and a
+// top-down level expands exactly that many edges — duplicate claims
+// included, since a doubly claimed vertex is expanded twice — so every
+// top-down level must run serially exactly when its frontier and its
+// examined edges are both under the bound. Covers the serial prologue,
+// cohort levels at W=1,2,4 and the levels after a bottom-up phase.
+func TestFastPathBoundReadsClaimedDegrees(t *testing.T) {
+	rmat, err := gen.RMAT(gen.Graph500Params(14, 16), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid, err := gen.Grid2D(300, 300, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, g := range map[string]*graph.Graph{"rmat": rmat, "grid": grid} {
+		for _, workers := range []int{1, 2, 4} {
+			cfg := DefaultConfig(1)
+			cfg.Workers = workers
+			cfg.Hybrid = name == "rmat"
+			cfg.Instrument = true
+			cfg.InAdj = func() *graph.Graph { return g.Transpose() }
+			e, err := New(g, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.serialBelow = serialLevelWork
+			res, err := e.Run(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			shape := levelShape(res)
+			if !strings.Contains(shape, "s") || !strings.Contains(shape, "T") {
+				t.Fatalf("%s/w%d: level shape %s lacks serial or cohort top-down levels", name, workers, shape)
+			}
+			for _, s := range res.Trace.Steps {
+				if s.BottomUp {
+					continue
+				}
+				small := s.Frontier < serialLevelWork && s.Edges < serialLevelWork
+				if s.Serial != small {
+					t.Fatalf("%s/w%d: level %d (frontier %d, %d edges) serial=%v under bound %d",
+						name, workers, s.Step, s.Frontier, s.Edges, s.Serial, serialLevelWork)
+				}
+			}
+		}
+	}
+}

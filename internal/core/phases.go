@@ -1,9 +1,9 @@
 package core
 
 import (
-	"sync/atomic"
 	"time"
 
+	"fastbfs/internal/bitmap"
 	"fastbfs/internal/numa"
 	"fastbfs/internal/par"
 	"fastbfs/internal/pbv"
@@ -15,53 +15,53 @@ const cacheLine = 64
 // serialLevelWork bounds the small-frontier fast path: a top-down level
 // whose frontier holds fewer than this many vertices and fewer than this
 // many out-edges is expanded by serialLevels instead of by the cohort.
+// A one-worker engine uses serialLevelWorkSolo instead.
 //
 // It is a constant, not a knob: it compares two costs of this code, not
-// a property of a graph. Measured on the 2-vCPU seed host (go1.24,
+// a property of a graph. Measured on a 2-vCPU host (go1.24,
 // BenchmarkBarrier in internal/par; BenchmarkEmptyLevel and
-// BenchmarkSmallLevel here; -cpu 1,2,4, the last oversubscribing the
-// two cores):
+// BenchmarkSmallLevel here, three runs each; -cpu 1 / 2 / 4, the last
+// oversubscribing the two cores), with the single-phase cohort level
+// (one PBV bin, two barrier rounds):
 //
-//	barrier round, nothing between rounds   0.02 / 0.25 / 0.65 us
-//	cohort level, empty (path graph)        0.6  / 2.4  / 5.0  us
-//	cohort level, ~2K edges (grid)          33   / 42   / 39   us
-//	fast-path level, empty / ~2K edges      0.04 / 15.5 us
-//	cohort cost per edge (W=1), c_p         10 ns (R-MAT) .. 16 ns (grid)
-//	fast-path cost per edge, c_s            3 ns (R-MAT) .. 8 ns (grid)
+//	barrier round, nothing between rounds   0.03  / 0.2-0.5 / 1.2-1.3 us
+//	cohort level, empty (path graph)        0.1   / 1.7-1.9 / 2.9-3.0 us
+//	cohort level, ~500 edges (grid256)      4.4-4.8 / 5.0-5.9 / 8.6-9.3 us
+//	cohort level, ~2K edges (grid)          33-36 / 18.4-19.0 / 38-42 us
+//	fast-path level, empty                  0.04-0.09 us
+//	fast-path level, ~500 / ~2K edges       2.8-3.8 / 25-29 us
+//	cohort cost per edge, scale-16 R-MAT    6.5-8.6 / 7.4-8.0 / 7.9-9.3 ns
+//	fast-path cost per edge, same           4.7-5.7 ns
 //
-// What that settles: a ~2K-edge level is 18-27 us cheaper on the fast
-// path, and at one or two workers the fast path wins a level of any
-// size (c_s <= c_p/2), so on this host every bound from a few K edges up
-// measures the same and the measurements do not pick one. 16K is the low
-// end of the 16-32K order the design expected, kept low because a cohort
-// that does scale (c_p/W < c_s) should get the big levels back.
-//
-// Where that hand-back belongs is NOT measured. A W-worker cohort that
-// scaled perfectly would beat the fast path above F/(c_s - c_p/W) edges,
-// F being the cohort's fixed cost per level; with W = 8 and a guessed
-// F of 20-40 us that is 3K-23K edges. It is an extrapolation from the
-// per-edge costs above: the bound is unverified above two workers and
-// no benchmark workload brackets the crossover. Run BenchmarkSmallLevel
-// on a wider host before trusting or moving it.
-const serialLevelWork = 16 << 10
+// What that settles at two workers: a ~2K-edge grid level is 7-10 us
+// cheaper on the cohort and a ~500-edge one 1.3-2 us dearer. With the
+// fixed cost F ≈ 1.8 us and the 1024² grid's per-edge costs (fast path
+// c_s ≈ 13 ns, cohort ≈ 8.2 ns at W=2) the crossover F/(c_s − c_p/2) is
+// about 400 edges; 1K sits between the measured loss and the measured
+// win. On the scale-16 R-MAT the cohort wins at no level size (its DP is
+// cache-resident, so the fast path's DP-only claim is cheap, while the
+// workers' VIS and DP lines move between cores), so an R-MAT level of
+// 1K-16K edges, which the fast path used to take, costs up to ~3 ns an
+// edge more — a few levels a run. Oversubscribed (W=4 on two cores) the
+// cohort loses at every size; the bound does not know the core count.
+const serialLevelWork = 1 << 10
+
+// serialLevelWorkSolo is the bound at one worker, where a cohort level
+// pays no barrier and the choice between the two kernels is per edge
+// and depends on the graph, not the level size: the fast path's DP-only
+// claim wins while DP is cache-resident or the neighbours are local (the
+// grid above: 12.5 against 17 ns/edge), the cohort's VIS probe and
+// rearrangement once DP is not (a scale-20 R-MAT top-down run: 12.3
+// against 16.5 ns/edge). It stays at the value measured for the
+// two-phase cohort, which keeps small levels on the fast path and
+// hands the big ones back.
+const serialLevelWorkSolo = 16 << 10
 
 // frontierIsSmall reports whether expanding e.cur is less work than
-// e.serialBelow. The out-degree sum is only computed once the vertex
-// count is under the bound, and the scan stops as soon as it is not.
+// e.serialBelow: fewer vertices and fewer out-edges. The out-edge sum is
+// e.curDeg, which the workers accumulated as they claimed the vertices.
 func (e *Engine) frontierIsSmall() bool {
-	if e.cur.Total() >= e.serialBelow {
-		return false
-	}
-	var work int64
-	for _, arr := range e.cur.Arrays {
-		for _, u := range arr {
-			work += int64(e.g.Offsets[u+1] - e.g.Offsets[u])
-		}
-		if work >= e.serialBelow {
-			return false
-		}
-	}
-	return true
+	return e.cur.Total() < e.serialBelow && e.curDeg < e.serialBelow
 }
 
 // serialLevels is the small-frontier fast path: it expands consecutive
@@ -71,7 +71,8 @@ func (e *Engine) frontierIsSmall() bool {
 // frontier stays small. Each level is closed by closeLevel, the same
 // bookkeeping a cohort level gets. The caller must have the engine to
 // itself: RunContext before the cohort exists, or worker 0 inside
-// finishStep while the cohort is parked on the end-of-step barrier.
+// finishStep while the others wait on the barrier that publishes its
+// window.
 func (e *Engine) serialLevels(maxSteps int) {
 	for !e.stop && e.dir == DirTopDown && e.frontierIsSmall() {
 		step := uint32(e.steps) + 1
@@ -90,13 +91,18 @@ func (e *Engine) serialLevels(maxSteps int) {
 
 // expandSerial is one level of the fast path: Figure 1's loop over the
 // whole current frontier. With no other goroutine on the engine there is
-// no race for visit's protocol to tolerate, so DP alone decides and is
-// read and written with plain accesses — visit's atomic stores are full
-// fences on x86 and were a third of a grid run (7 against 3 ns/edge on
-// BenchmarkSmallLevel/rmat/serial). The VIS structure is only kept in
-// step for the cohort levels that may follow, as the bottom-up kernel
-// does (markClaimed): a set bit must imply a visited vertex, and the
-// exact atomic-bit kind needs the converse too.
+// no race for visit's protocol to tolerate, so DP alone decides, with
+// plain accesses. The VIS structure is only kept in step for the cohort
+// levels that may follow, as the bottom-up kernel does (markClaimed): a
+// set bit must imply a visited vertex, and the exact atomic-bit kind
+// needs the converse too.
+//
+// It keeps this claim of its own rather than calling visit's protocol
+// (VIS probe, then DP), because the probe does not pay without a race to
+// filter: with the protocol inlined as in direct, the serial rows of
+// BenchmarkSmallLevel (W=1, six alternating runs each, 2-vCPU host)
+// measured 14.0 ns/edge on the grid and 6.6 on R-MAT against this loop's
+// 12.5 and 4.9 (medians).
 func (e *Engine) expandSerial(st *workerState, depth uint32) {
 	var visWords []uint32
 	if e.visBit != nil {
@@ -121,9 +127,7 @@ func (e *Engine) expandSerial(st *workerState, depth uint32) {
 				e.dp[v] = PackDP(u, depth)
 				e.markClaimed(visWords, int(v>>5), 1<<(v&31))
 				st.appends++
-				if e.cfg.Hybrid {
-					st.nextDeg += int64(e.g.Offsets[v+1] - e.g.Offsets[v]) // m_f, as in visit
-				}
+				st.nextDeg += int64(e.g.Offsets[v+1] - e.g.Offsets[v]) // m_f, as in visit
 				if e.cfg.Instrument {
 					if visWords != nil || e.visByte != nil {
 						// One VIS touch per claim, as visit charges it.
@@ -139,7 +143,8 @@ func (e *Engine) expandSerial(st *workerState, depth uint32) {
 }
 
 // phase1Range computes the global frontier range [lo, hi) a worker must
-// expand this step, per the configured scheme.
+// expand this step, per the configured scheme (Phase-I, or a
+// single-phase level).
 func (e *Engine) phase1Range(st *workerState) (lo, hi int64) {
 	total := e.curLayout.Total()
 	if e.cfg.Scheme == SchemeSocketAware {
@@ -337,34 +342,66 @@ func (e *Engine) phase2(st *workerState, step uint32) {
 	e.nxt.Arrays[st.id] = next
 }
 
-// direct is the single-phase baseline (no multi-socket optimization):
-// expand and update in one pass, exactly Figure 1 of the paper but with
-// the configured VIS structure and atomic-free updates.
-func (e *Engine) direct(st *workerState, step uint32) {
+// direct is the single-phase level: each worker expands a contiguous
+// slice of the current frontier and updates VIS/DP in the same pass,
+// appending what it claims to its own next array — Figure 1 of the
+// paper with the configured VIS structure and atomic-free updates. It is
+// the SchemeSinglePhase baseline, and every engine's top-down cohort
+// level when there is one PBV bin (see Engine.twoPhase).
+//
+// For the bit kinds without instrumentation visit's protocol is inlined
+// (bitmap.TrySetIn, then the DP re-check): a call per edge was half the
+// kernel's cost on BenchmarkSmallLevel. The counters stay in locals so
+// two workers never write one cache line per edge.
+func (e *Engine) direct(st *workerState, depth uint32) {
 	lo, hi := e.phase1Range(st)
 	st.fsegs = e.curLayout.Slice(lo, hi, st.fsegs[:0])
+	var vis []uint32
+	if e.visBit != nil && !e.cfg.Instrument {
+		vis = e.visBit.Words()
+	}
+	dp, off, nbr := e.dp, e.g.Offsets, e.g.Neighbors
+	pfd := e.cfg.PrefetchDist
 	next := e.nxt.Arrays[st.id]
+	var edges, appends, nextDeg int64
+	var sink uint64
 	for _, sg := range st.fsegs {
 		arr := e.cur.Arrays[sg.Worker][sg.Lo:sg.Hi]
 		if e.cfg.Instrument {
 			st.traffic.Add(numa.StructBV, e.topo.SocketOf(sg.Worker), st.socket, 4*int64(len(arr)))
 		}
 		for k, u := range arr {
-			if pf := k + e.cfg.PrefetchDist; e.cfg.PrefetchDist > 0 && pf < len(arr) {
-				st.sink += uint64(e.g.Offsets[arr[pf]])
+			if pf := k + pfd; pfd > 0 && pf < len(arr) {
+				sink += uint64(off[arr[pf]]) // as in phase1
 			}
-			adj := e.g.Neighbors[e.g.Offsets[u]:e.g.Offsets[u+1]]
-			st.edges += int64(len(adj))
-			if e.cfg.Instrument {
-				st.traffic.Add(numa.StructAdj, e.topo.HomeSocket(u), st.socket,
-					2*cacheLine+4*int64(len(adj)))
+			adj := nbr[off[u]:off[u+1]]
+			edges += int64(len(adj))
+			if vis == nil {
+				if e.cfg.Instrument {
+					st.traffic.Add(numa.StructAdj, e.topo.HomeSocket(u), st.socket,
+						2*cacheLine+4*int64(len(adj)))
+				}
+				for _, v := range adj {
+					next = e.visit(st, v, u, depth, next)
+				}
+				continue
 			}
 			for _, v := range adj {
-				next = e.visit(st, v, u, step, next)
+				if !bitmap.TrySetIn(vis, v) || loadDP(&dp[v]) != INF {
+					continue
+				}
+				storeDP(&dp[v], PackDP(u, depth))
+				appends++
+				nextDeg += int64(off[v+1] - off[v])
+				next = append(next, v)
 			}
 		}
 	}
 	e.nxt.Arrays[st.id] = next
+	st.edges += edges
+	st.appends += appends
+	st.nextDeg += nextDeg
+	st.sink += sink
 }
 
 // visit applies the configured visited protocol to neighbor v with the
@@ -383,11 +420,9 @@ func (e *Engine) visit(st *workerState, v, parent, depth uint32, next []uint32) 
 		if !e.visAtomic.TrySet(v) {
 			return next
 		}
-		atomic.StoreUint64(&e.dp[v], PackDP(parent, depth))
+		storeDP(&e.dp[v], PackDP(parent, depth))
 		st.appends++
-		if e.cfg.Hybrid {
-			st.nextDeg += int64(e.g.Offsets[v+1] - e.g.Offsets[v])
-		}
+		st.nextDeg += int64(e.g.Offsets[v+1] - e.g.Offsets[v])
 		if e.cfg.Instrument {
 			e.chargeVisit(st, v)
 		}
@@ -404,16 +439,15 @@ func (e *Engine) visit(st *workerState, v, parent, depth uint32, next []uint32) 
 	if e.cfg.Instrument {
 		st.traffic.Add(numa.StructVIS, e.topo.HomeSocket(v), st.socket, 1)
 	}
-	if atomic.LoadUint64(&e.dp[v]) != INF {
+	if loadDP(&e.dp[v]) != INF {
 		return next
 	}
-	atomic.StoreUint64(&e.dp[v], PackDP(parent, depth))
+	storeDP(&e.dp[v], PackDP(parent, depth))
 	st.appends++
-	if e.cfg.Hybrid {
-		// m_f for the direction heuristic. The benign duplicate-claim race
-		// can double-count a vertex's degree; the heuristic tolerates it.
-		st.nextDeg += int64(e.g.Offsets[v+1] - e.g.Offsets[v])
-	}
+	// m_f, for the direction heuristic and the fast-path bound. The
+	// benign duplicate-claim race can double-count a vertex's degree;
+	// both tolerate an over-estimate.
+	st.nextDeg += int64(e.g.Offsets[v+1] - e.g.Offsets[v])
 	if e.cfg.Instrument {
 		e.chargeVisit(st, v)
 	}

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"fastbfs/graph/gen"
-	"fastbfs/internal/frontier"
 	"fastbfs/internal/pbv"
 )
 
@@ -28,7 +27,7 @@ func runOnePhase1(t *testing.T, enc pbv.Encoding, batch bool) *Engine {
 	}
 	// Seed a frontier of a few vertices and run Phase-I by hand.
 	e.cur.Arrays[0] = append(e.cur.Arrays[0][:0], 1, 2, 3, 100, 2000)
-	e.curLayout = frontier.BuildLayout(e.cur)
+	e.curLayout.Build(e.cur)
 	e.phase1(e.ws[0], 1)
 	return e
 }

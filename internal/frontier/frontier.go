@@ -41,11 +41,21 @@ type Layout struct {
 
 // BuildLayout computes prefix sums over the worker arrays.
 func BuildLayout(f *Frontier) *Layout {
-	l := &Layout{prefix: make([]int64, len(f.Arrays)+1)}
+	l := &Layout{}
+	l.Build(f)
+	return l
+}
+
+// Build recomputes l for f in place, reusing its storage: the engine
+// rebuilds one layout per level.
+func (l *Layout) Build(f *Frontier) {
+	if cap(l.prefix) < len(f.Arrays)+1 {
+		l.prefix = make([]int64, len(f.Arrays)+1)
+	}
+	l.prefix = l.prefix[:len(f.Arrays)+1]
 	for i, a := range f.Arrays {
 		l.prefix[i+1] = l.prefix[i] + int64(len(a))
 	}
-	return l
 }
 
 // Total returns the frontier size.

@@ -14,35 +14,72 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sync"
+	"sync/atomic"
 )
 
 // Barrier is a reusable synchronization barrier for a fixed number of
 // participants. The zero value is not usable; create one with NewBarrier.
 //
-// It is a classic sense-reversing barrier guarded by a mutex and cond.
-// On the oversubscribed single-core hosts this repo targets, a blocking
-// barrier beats spinning; on many-core hosts the cost is amortized by the
-// per-step work between barriers.
+// The last participant to arrive releases a round by advancing a
+// generation counter. The others wait for it in three stages: they poll
+// it (spinPolls times, skipped when the participants cannot all run at
+// once), then poll it between runtime.Gosched calls (yieldPolls times),
+// and only then park on a condition variable. The yielding stage keeps
+// the wait cheap when goroutines outnumber processors: a waiter hands
+// its processor to whatever else is runnable — the participant it waits
+// for, or another engine's worker — instead of burning it.
 //
 // A barrier can be poisoned with Break: every current and future Wait
 // returns false immediately, so a cohort whose member died (panicked)
 // drains instead of deadlocking. Reset rearms a broken barrier once all
 // participants have returned.
 type Barrier struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	n      int
-	count  int
-	sense  bool
-	broken bool
+	n     int32
+	spin  int // pure polls before yielding (0 when oversubscribed)
+	yield int // Gosched polls before parking
+
+	count atomic.Int32 // arrivals in the current round
+	_     [cacheLine - 4]byte
+	gen   atomic.Uint32 // round number; advanced by the last arrival
+	_     [cacheLine - 4]byte
+
+	broken   atomic.Bool
+	sleepers atomic.Int32 // waiters in (or entering) the parking stage
+	mu       sync.Mutex
+	cond     *sync.Cond
 }
+
+const cacheLine = 64
+
+// The waiting stages of Barrier.Wait, sized on a 2-vCPU host (go1.24).
+// One poll costs about 1 ns and one Gosched round trip with nothing else
+// runnable 0.12-0.18 us (BenchmarkBarrierPolls), so spinPolls covers
+// about 2 us and yieldPolls about 20 us. A round with nothing between
+// arrivals costs 0.2-0.5 us polling (BenchmarkBarrier/poll) and 0.4 us
+// parked, since the runtime's own idle threads catch the wake-up; but
+// with a level's work between rounds a parked waiter's wake-up is an OS
+// thread wake-up, about 20 us a level (internal/core's
+// BenchmarkSmallLevel/grid/cohort at W=2, two rounds a level: 41-47 us
+// a level parked, 47-51 with 2 us of polling, 18-21 with the yielding
+// stage). So a waiter gives up and parks after about what parking costs:
+// the classic two-competitive bound on spinning.
+const (
+	spinPolls  = 1 << 11
+	yieldPolls = 128
+)
 
 // NewBarrier returns a barrier for n participants. n must be >= 1.
 func NewBarrier(n int) *Barrier {
 	if n < 1 {
 		panic("par: NewBarrier with n < 1")
 	}
-	b := &Barrier{n: n}
+	b := &Barrier{n: int32(n), yield: yieldPolls}
+	if n <= runtime.GOMAXPROCS(0) && n <= runtime.NumCPU() {
+		// Pure polling only helps when every participant can be running
+		// on a core of its own; otherwise the poller holds the core the
+		// participant it waits for needs.
+		b.spin = spinPolls
+	}
 	b.cond = sync.NewCond(&b.mu)
 	return b
 }
@@ -52,34 +89,52 @@ func NewBarrier(n int) *Barrier {
 // rounds. If the barrier is (or becomes) broken, Wait returns false
 // immediately for every participant.
 func (b *Barrier) Wait() bool {
-	b.mu.Lock()
-	if b.broken {
-		b.mu.Unlock()
+	if b.broken.Load() {
 		return false
 	}
-	sense := b.sense
-	b.count++
-	if b.count == b.n {
-		b.count = 0
-		b.sense = !b.sense
-		b.mu.Unlock()
-		b.cond.Broadcast()
+	// The round cannot advance before this participant arrives, so gen
+	// read here is the current round's.
+	gen := b.gen.Load()
+	if b.count.Add(1) == b.n {
+		b.count.Store(0)
+		b.gen.Add(1)
+		// A waiter announces itself in sleepers before it checks gen
+		// under mu, so either it sees the new gen or this sees it.
+		if b.sleepers.Load() != 0 {
+			b.mu.Lock()
+			b.mu.Unlock()
+			b.cond.Broadcast()
+		}
 		return true
 	}
-	for b.sense == sense && !b.broken {
+	for i := 0; i < b.spin+b.yield; i++ {
+		if b.gen.Load() != gen {
+			return !b.broken.Load()
+		}
+		if b.broken.Load() {
+			return false
+		}
+		if i >= b.spin {
+			runtime.Gosched()
+		}
+	}
+	b.sleepers.Add(1)
+	b.mu.Lock()
+	for b.gen.Load() == gen && !b.broken.Load() {
 		b.cond.Wait()
 	}
-	ok := !b.broken
 	b.mu.Unlock()
-	return ok
+	b.sleepers.Add(-1)
+	return !b.broken.Load()
 }
 
-// Break poisons the barrier: all participants currently blocked in Wait
-// are released with a false return, as is every later Wait. It is safe to
-// call from any goroutine (typically a panic handler) and is idempotent.
+// Break poisons the barrier: all participants currently waiting in Wait
+// (polling or parked) are released with a false return, as is every
+// later Wait. It is safe to call from any goroutine (typically a panic
+// handler) and is idempotent.
 func (b *Barrier) Break() {
+	b.broken.Store(true)
 	b.mu.Lock()
-	b.broken = true
 	b.mu.Unlock()
 	b.cond.Broadcast()
 }
@@ -88,14 +143,12 @@ func (b *Barrier) Break() {
 // when no goroutine is blocked in Wait (e.g. between engine runs, after
 // every worker has returned).
 func (b *Barrier) Reset() {
-	b.mu.Lock()
-	b.count = 0
-	b.broken = false
-	b.mu.Unlock()
+	b.count.Store(0)
+	b.broken.Store(false)
 }
 
 // N returns the number of participants.
-func (b *Barrier) N() int { return b.n }
+func (b *Barrier) N() int { return int(b.n) }
 
 // PanicError reports a panic recovered from a pool worker, preserving the
 // worker id, the panic value and the goroutine stack at the panic site.

@@ -231,3 +231,70 @@ func TestBarrierBreak(t *testing.T) {
 		t.Fatalf("%d passes after Reset, want %d", passes, workers)
 	}
 }
+
+// TestBarrierBreakReleasesPollingWaiter: Break releases a waiter that is
+// still in a polling stage — spinning or yielding — not only a parked
+// one. Each stage's budget is made unbounded so the waiter cannot have
+// parked when Break comes; it must return false and never park.
+func TestBarrierBreakReleasesPollingWaiter(t *testing.T) {
+	for _, stage := range []string{"spin", "yield"} {
+		t.Run(stage, func(t *testing.T) {
+			b := NewBarrier(2)
+			b.spin, b.yield = 0, 1<<30
+			if stage == "spin" {
+				b.spin, b.yield = 1<<30, 0
+			}
+			done := make(chan bool)
+			go func() { done <- b.Wait() }()
+			for b.count.Load() == 0 {
+				time.Sleep(time.Millisecond) // until the waiter has arrived
+			}
+			b.Break()
+			select {
+			case ok := <-done:
+				if ok {
+					t.Fatal("Wait returned true after Break")
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("Break did not release the polling waiter")
+			}
+			if n := b.sleepers.Load(); n != 0 {
+				t.Fatalf("%d waiters parked; the test meant to break a polling one", n)
+			}
+		})
+	}
+}
+
+// TestBarrierPollingRounds runs many rounds with each waiting stage
+// alone — spinning, yielding, parking — and with the shipped budgets,
+// so a lost release in any of them shows as a hang or a skipped round.
+func TestBarrierPollingRounds(t *testing.T) {
+	for _, budget := range []struct{ spin, yield int }{{spinPolls, 0}, {0, 1 << 30}, {0, 0}, {spinPolls, yieldPolls}} {
+		t.Run(fmt.Sprintf("spin=%d/yield=%d", budget.spin, budget.yield), func(t *testing.T) {
+			const workers, rounds = 3, 200
+			b := NewBarrier(workers)
+			b.spin, b.yield = budget.spin, budget.yield
+			var round [workers]int32
+			if err := Run(workers, func(w int) {
+				for r := int32(1); r <= rounds; r++ {
+					atomic.StoreInt32(&round[w], r)
+					if !b.Wait() {
+						t.Error("unbroken barrier returned false")
+						return
+					}
+					for i := range round {
+						if got := atomic.LoadInt32(&round[i]); got < r {
+							t.Errorf("worker %d at round %d after barrier %d", i, got, r)
+						}
+					}
+					if !b.Wait() {
+						t.Error("unbroken barrier returned false")
+						return
+					}
+				}
+			}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
