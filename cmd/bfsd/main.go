@@ -291,13 +291,20 @@ func main() {
 // close them. http.Server.Shutdown closes idle connections at once but
 // gives a new one a fixed 5 s to send its first request, and a client
 // transport that dialed a spare connection and never used it holds the
-// drain that long. A request that was on its way over such a connection
-// fails as it would have against the closed listener a moment later.
+// drain that long. A connection only leaves StateNew once the server has
+// read from it, so one whose request is already on the wire can still
+// be new when the drain starts: drain gives every new connection
+// freshGrace to be read before it closes the ones still new.
 type freshConns struct {
-	mu       sync.Mutex
-	conns    map[net.Conn]struct{}
-	draining bool
+	mu      sync.Mutex
+	conns   map[net.Conn]struct{}
+	closing bool // the grace is over: a new connection is closed at once
 }
+
+// freshGrace is how long a drain waits for a new connection's first
+// request to be read: far longer than a request already sent takes to
+// arrive, far shorter than Shutdown's 5 s.
+const freshGrace = 100 * time.Millisecond
 
 func newFreshConns() *freshConns {
 	return &freshConns{conns: map[net.Conn]struct{}{}}
@@ -311,23 +318,26 @@ func (f *freshConns) track(c net.Conn, state http.ConnState) {
 		delete(f.conns, c)
 		return
 	}
-	if f.draining {
-		c.Close() // accepted while the listener was closing
+	if f.closing {
+		c.Close() // accepted after the grace, while the listener closed
 		return
 	}
 	f.conns[c] = struct{}{}
 }
 
-// drain closes every connection still in StateNew, and any accepted
-// from now on.
+// drain closes, freshGrace from now, every connection still in StateNew
+// and any accepted after that. It returns at once, so Shutdown can close
+// the listener and serve what is in flight meanwhile.
 func (f *freshConns) drain() {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.draining = true
-	for c := range f.conns {
-		c.Close()
-		delete(f.conns, c)
-	}
+	time.AfterFunc(freshGrace, func() {
+		f.mu.Lock()
+		defer f.mu.Unlock()
+		f.closing = true
+		for c := range f.conns {
+			c.Close()
+			delete(f.conns, c)
+		}
+	})
 }
 
 // loadGraphs registers every -graph value. File graphs go through the

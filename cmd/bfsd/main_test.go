@@ -1,7 +1,9 @@
 package main
 
 import (
+	"bufio"
 	"context"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -37,62 +39,133 @@ func TestSplitGraphFlag(t *testing.T) {
 	}
 }
 
-// TestDrainClosesFreshConns: a connection that was accepted but never
-// sent a request must not hold a drain. http.Server.Shutdown alone waits
-// 5 s for such a connection; with freshConns closing it at drain, the
-// drain takes well under a second, and a request on a used connection
-// is still answered first.
-func TestDrainClosesFreshConns(t *testing.T) {
+// drainServer is an http.Server answering "ok" with a freshConns hook.
+type drainServer struct {
+	addr   string
+	conns  *freshConns
+	server *http.Server
+	served chan error
+}
+
+func startDrainServer(t *testing.T) *drainServer {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	conns := newFreshConns()
-	server := &http.Server{
+	d := &drainServer{addr: ln.Addr().String(), conns: newFreshConns(), served: make(chan error, 1)}
+	d.server = &http.Server{
 		Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			io.WriteString(w, "ok")
 		}),
-		ConnState: conns.track,
+		ConnState: d.conns.track,
 	}
-	served := make(chan error, 1)
-	go func() { served <- server.Serve(ln) }()
+	go func() { d.served <- d.server.Serve(ln) }()
+	return d
+}
 
-	resp, err := http.Get("http://" + ln.Addr().String() + "/")
+// waitFresh waits until n connections are tracked as new.
+func (d *drainServer) waitFresh(t *testing.T, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		d.conns.mu.Lock()
+		got := len(d.conns.conns)
+		d.conns.mu.Unlock()
+		if got == n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d fresh connections tracked, want %d", got, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// shutdown drains as bfsd does and returns how long it took. It may run
+// on any goroutine.
+func (d *drainServer) shutdown() (time.Duration, error) {
+	start := time.Now()
+	d.conns.drain()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := d.server.Shutdown(ctx); err != nil {
+		return 0, fmt.Errorf("shutdown: %v", err)
+	}
+	took := time.Since(start)
+	if err := <-d.served; err != http.ErrServerClosed {
+		return 0, fmt.Errorf("Serve returned %v", err)
+	}
+	return took, nil
+}
+
+// TestDrainClosesFreshConns: a connection that was accepted but never
+// sent a request must not hold a drain. http.Server.Shutdown alone waits
+// 5 s for such a connection; with freshConns closing it after its
+// grace, the drain takes well under a second, and a request on a used
+// connection is still answered first.
+func TestDrainClosesFreshConns(t *testing.T) {
+	d := startDrainServer(t)
+	resp, err := http.Get("http://" + d.addr + "/")
 	if err != nil {
 		t.Fatal(err)
 	}
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 
-	idle, err := net.Dial("tcp", ln.Addr().String())
+	idle, err := net.Dial("tcp", d.addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer idle.Close()
-	for deadline := time.Now().Add(5 * time.Second); ; {
-		conns.mu.Lock()
-		n := len(conns.conns)
-		conns.mu.Unlock()
-		if n == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("%d fresh connections tracked, want the idle dial", n)
-		}
-		time.Sleep(time.Millisecond)
+	d.waitFresh(t, 1)
+	took, err := d.shutdown()
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	start := time.Now()
-	conns.drain()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := server.Shutdown(ctx); err != nil {
-		t.Fatalf("shutdown: %v", err)
-	}
-	if took := time.Since(start); took >= time.Second {
+	if took >= time.Second {
 		t.Fatalf("drain took %v with one idle connection, want < 1s", took)
 	}
-	if err := <-served; err != http.ErrServerClosed {
-		t.Fatalf("Serve returned %v", err)
+}
+
+// TestDrainServesRequestOnFreshConn: a request written onto a freshly
+// dialed connection just before the drain starts is answered. The
+// server has not read it yet, so the connection is still new when the
+// drain begins; closing it then would fail a request that a client
+// transport does not retry (the connection was never reused).
+func TestDrainServesRequestOnFreshConn(t *testing.T) {
+	d := startDrainServer(t)
+	c, err := net.Dial("tcp", d.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	d.waitFresh(t, 1)
+	if _, err := io.WriteString(c, "GET / HTTP/1.1\r\nHost: bfsd\r\n\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	type result struct {
+		took time.Duration
+		err  error
+	}
+	done := make(chan result, 1)
+	go func() {
+		took, err := d.shutdown()
+		done <- result{took, err}
+	}()
+
+	c.SetReadDeadline(time.Now().Add(5 * time.Second))
+	resp, err := http.ReadResponse(bufio.NewReader(c), nil)
+	if err != nil {
+		t.Fatalf("request sent before the drain got no answer: %v", err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK || string(body) != "ok" {
+		t.Fatalf("answer %d %q (%v), want 200 \"ok\"", resp.StatusCode, body, err)
+	}
+	if r := <-done; r.err != nil {
+		t.Fatal(r.err)
+	} else if r.took >= time.Second {
+		t.Fatalf("drain took %v, want < 1s", r.took)
 	}
 }

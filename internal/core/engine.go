@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"time"
 
 	"fastbfs/graph"
@@ -79,11 +80,15 @@ type Engine struct {
 	ws       []*workerState
 	bar      *par.Barrier
 
-	// serialBelow is the per-level work bound of the small-frontier fast
-	// path (serialLevelWork, or serialLevelWorkSolo at one worker). A
-	// field rather than the constant so in-package tests can force the
-	// path off (0) or always on (MaxInt64).
+	// serialBelow, when not negative, overrides the per-level work bound
+	// of the small-frontier fast path, which levelBound otherwise
+	// resolves each level. A field so in-package tests can force the
+	// path off (0), always on (MaxInt64) or onto one shipped bound.
 	serialBelow int64
+	// procs and own are levelBound's inputs: the processors this run may
+	// use, and how many of the goroutines par.Running counts are this
+	// engine's (1 in the serial prologue, Workers in the cohort).
+	procs, own int
 
 	// Hybrid (direction-optimizing) state, allocated when cfg.Hybrid.
 	// in is the in-adjacency used by bottom-up scans; it is resolved
@@ -142,10 +147,7 @@ func New(g *graph.Graph, cfg Config) (*Engine, error) {
 		nxt:  frontier.New(cfg.Workers),
 		bar:  par.NewBarrier(cfg.Workers),
 
-		serialBelow: serialLevelWork,
-	}
-	if cfg.Workers == 1 {
-		e.serialBelow = serialLevelWorkSolo
+		serialBelow: -1,
 	}
 	switch cfg.VIS {
 	case VISAtomicBit:
@@ -323,6 +325,8 @@ func (e *Engine) RunContext(ctx context.Context, source uint32) (*Result, error)
 	// traversal whose every level stays small ends here and never
 	// launches the cohort.
 	maxSteps := e.stepLimit()
+	e.procs = min(runtime.GOMAXPROCS(0), runtime.NumCPU())
+	e.own = 1
 	runErr := par.Run(1, func(int) {
 		e.serialLevels(maxSteps)
 		if !e.stop {
@@ -333,6 +337,7 @@ func (e *Engine) RunContext(ctx context.Context, source uint32) (*Result, error)
 		// A panicking worker poisons the barrier before re-panicking so
 		// the surviving workers drain instead of deadlocking; par.Run
 		// recovers the panic and returns it as an error.
+		e.own = e.cfg.Workers
 		runErr = par.Run(e.cfg.Workers, func(w int) {
 			defer func() {
 				if r := recover(); r != nil {

@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"regexp"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"fastbfs/graph"
@@ -305,5 +307,65 @@ func TestFastPathBoundReadsClaimedDegrees(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestLevelBoundFollowsProcessLoad: with no bound forced, a W=2 engine
+// takes small levels onto the cohort at serialLevelWork only while its
+// workers and every other goroutine running par.Run bodies fit in the
+// processors; with other par.Run bodies holding every processor it
+// keeps them on the fast path up to serialLevelWorkSolo, the bound of a
+// cohort whose workers would share processors.
+func TestLevelBoundFollowsProcessLoad(t *testing.T) {
+	g, err := gen.Grid2D(300, 300, 0, 0) // levels up to ~1.2K edges
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig(1)
+	cfg.Workers = 2
+	cfg.Instrument = true
+	e, err := New(g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	procs := min(runtime.GOMAXPROCS(0), runtime.NumCPU())
+	check := func(label string, bound int64) {
+		t.Helper()
+		res, err := e.Run(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range res.Trace.Steps {
+			small := s.Frontier < bound && s.Edges < bound
+			if s.Serial != small {
+				t.Fatalf("%s: level %d (frontier %d, %d edges) serial=%v under bound %d (procs %d)",
+					label, s.Step, s.Frontier, s.Edges, s.Serial, bound, procs)
+			}
+		}
+	}
+	if procs >= 2 {
+		check("idle", serialLevelWork)
+	} else {
+		check("one processor", serialLevelWorkSolo)
+	}
+
+	var started sync.WaitGroup
+	started.Add(procs)
+	hold := make(chan struct{})
+	held := make(chan error)
+	go func() {
+		held <- par.Run(procs, func(int) {
+			started.Done()
+			<-hold
+		})
+	}()
+	started.Wait()
+	check("loaded", serialLevelWorkSolo)
+	close(hold)
+	if err := <-held; err != nil {
+		t.Fatal(err)
+	}
+	if procs >= 2 {
+		check("idle again", serialLevelWork)
 	}
 }

@@ -15,35 +15,37 @@ const cacheLine = 64
 // serialLevelWork bounds the small-frontier fast path: a top-down level
 // whose frontier holds fewer than this many vertices and fewer than this
 // many out-edges is expanded by serialLevels instead of by the cohort.
-// A one-worker engine uses serialLevelWorkSolo instead.
+// It applies only while the cohort's workers can each have a processor
+// (levelBound); otherwise serialLevelWorkSolo does.
 //
 // It is a constant, not a knob: it compares two costs of this code, not
 // a property of a graph. Measured on a 2-vCPU host (go1.24,
 // BenchmarkBarrier in internal/par; BenchmarkEmptyLevel and
-// BenchmarkSmallLevel here, three runs each; -cpu 1 / 2 / 4, the last
-// oversubscribing the two cores), with the single-phase cohort level
-// (one PBV bin, two barrier rounds):
+// BenchmarkSmallLevel here, three to six runs each; -cpu 1 / 2 / 4, the
+// last oversubscribing the two cores), with the single-phase cohort
+// level (one PBV bin, two barrier rounds):
 //
 //	barrier round, nothing between rounds   0.03  / 0.2-0.5 / 1.2-1.3 us
-//	cohort level, empty (path graph)        0.1   / 1.7-1.9 / 2.9-3.0 us
-//	cohort level, ~500 edges (grid256)      4.4-4.8 / 5.0-5.9 / 8.6-9.3 us
-//	cohort level, ~2K edges (grid)          33-36 / 18.4-19.0 / 38-42 us
+//	cohort level, empty (path graph)        0.1   / 0.9-1.3 / 2.9-3.0 us
+//	cohort level, ~500 edges (grid256)      4.4-4.8 / 4.6-5.9 / 8.6-9.3 us
+//	cohort level, ~2K edges (grid)          33-36 / 19.5-23.7 / 38-42 us
 //	fast-path level, empty                  0.04-0.09 us
 //	fast-path level, ~500 / ~2K edges       2.8-3.8 / 25-29 us
 //	cohort cost per edge, scale-16 R-MAT    6.5-8.6 / 7.4-8.0 / 7.9-9.3 ns
 //	fast-path cost per edge, same           4.7-5.7 ns
 //
-// What that settles at two workers: a ~2K-edge grid level is 7-10 us
-// cheaper on the cohort and a ~500-edge one 1.3-2 us dearer. With the
-// fixed cost F ≈ 1.8 us and the 1024² grid's per-edge costs (fast path
-// c_s ≈ 13 ns, cohort ≈ 8.2 ns at W=2) the crossover F/(c_s − c_p/2) is
-// about 400 edges; 1K sits between the measured loss and the measured
+// What that settles at two workers: a ~2K-edge grid level is 2-9 us
+// cheaper on the cohort and a ~500-edge one 1-2 us dearer. With the
+// fixed cost F ≈ 1.1 us and the 1024² grid's per-edge costs (fast path
+// c_s ≈ 13 ns, cohort ≈ 10 ns at W=2) the crossover F/(c_s − c_p/2) is
+// about 150 edges; 1K sits between the measured loss and the measured
 // win. On the scale-16 R-MAT the cohort wins at no level size (its DP is
 // cache-resident, so the fast path's DP-only claim is cheap, while the
 // workers' VIS and DP lines move between cores), so an R-MAT level of
 // 1K-16K edges, which the fast path used to take, costs up to ~3 ns an
 // edge more — a few levels a run. Oversubscribed (W=4 on two cores) the
-// cohort loses at every size; the bound does not know the core count.
+// cohort loses at every size, which is why levelBound falls back to
+// serialLevelWorkSolo there.
 const serialLevelWork = 1 << 10
 
 // serialLevelWorkSolo is the bound at one worker, where a cohort level
@@ -54,14 +56,39 @@ const serialLevelWork = 1 << 10
 // rearrangement once DP is not (a scale-20 R-MAT top-down run: 12.3
 // against 16.5 ns/edge). It stays at the value measured for the
 // two-phase cohort, which keeps small levels on the fast path and
-// hands the big ones back.
+// hands the big ones back. It is also the bound for a cohort whose
+// workers would share processors, the bound every engine had before
+// single-phase levels made small cohort levels cheap.
 const serialLevelWorkSolo = 16 << 10
 
+// levelBound is the fast-path bound for the level about to start. The
+// cohort's small-level win rests on its barrier partners running at the
+// same time: a worker waiting for one that has no processor loses the
+// level's whole parallel gain (the oversubscribed rows above). So the
+// 1K bound applies only while this engine's workers, added to every
+// other goroutine running par.Run bodies in the process (other engines,
+// batched sweeps, parallel loops), fit in the processors the run may
+// use; otherwise, and at one worker, the bound is serialLevelWorkSolo.
+// Measured in the daemon, where two pooled W=2 engines and batched
+// sweeps share two cores, the 1K bound alone cost about 10 % of
+// serve-burst's throughput.
+func (e *Engine) levelBound() int64 {
+	if e.serialBelow >= 0 {
+		return e.serialBelow
+	}
+	w := e.cfg.Workers
+	if w > 1 && par.Running()-e.own+w <= e.procs {
+		return serialLevelWork
+	}
+	return serialLevelWorkSolo
+}
+
 // frontierIsSmall reports whether expanding e.cur is less work than
-// e.serialBelow: fewer vertices and fewer out-edges. The out-edge sum is
+// levelBound: fewer vertices and fewer out-edges. The out-edge sum is
 // e.curDeg, which the workers accumulated as they claimed the vertices.
 func (e *Engine) frontierIsSmall() bool {
-	return e.cur.Total() < e.serialBelow && e.curDeg < e.serialBelow
+	bound := e.levelBound()
+	return e.cur.Total() < bound && e.curDeg < bound
 }
 
 // serialLevels is the small-frontier fast path: it expands consecutive
@@ -349,10 +376,10 @@ func (e *Engine) phase2(st *workerState, step uint32) {
 // the SchemeSinglePhase baseline, and every engine's top-down cohort
 // level when there is one PBV bin (see Engine.twoPhase).
 //
-// For the bit kinds without instrumentation visit's protocol is inlined
-// (bitmap.TrySetIn, then the DP re-check): a call per edge was half the
-// kernel's cost on BenchmarkSmallLevel. The counters stay in locals so
-// two workers never write one cache line per edge.
+// For the bit kinds without instrumentation it calls claimBit, which
+// inlines, rather than visit: a call per edge was half the kernel's cost
+// on BenchmarkSmallLevel. The counters stay in locals so two workers
+// never write one cache line per edge.
 func (e *Engine) direct(st *workerState, depth uint32) {
 	lo, hi := e.phase1Range(st)
 	st.fsegs = e.curLayout.Slice(lo, hi, st.fsegs[:0])
@@ -387,10 +414,9 @@ func (e *Engine) direct(st *workerState, depth uint32) {
 				continue
 			}
 			for _, v := range adj {
-				if !bitmap.TrySetIn(vis, v) || loadDP(&dp[v]) != INF {
+				if !claimBit(vis, v, &dp[v], PackDP(u, depth)) {
 					continue
 				}
-				storeDP(&dp[v], PackDP(u, depth))
 				appends++
 				nextDeg += int64(off[v+1] - off[v])
 				next = append(next, v)
@@ -412,46 +438,57 @@ func (e *Engine) direct(st *workerState, depth uint32) {
 // probe for the same vertex); the DP load repairs the first case and
 // bounds the second to duplicate same-depth work.
 func (e *Engine) visit(st *workerState, v, parent, depth uint32, next []uint32) []uint32 {
+	packed := PackDP(parent, depth)
 	switch e.cfg.VIS {
 	case VISNone:
 		// Direct DP check per neighbor (baseline: full DP traffic).
+		if loadDP(&e.dp[v]) != INF {
+			return next
+		}
+		storeDP(&e.dp[v], packed)
 	case VISAtomicBit:
 		// Exact claim via LOCK CMPXCHG; no DP re-check needed.
 		if !e.visAtomic.TrySet(v) {
 			return next
 		}
-		storeDP(&e.dp[v], PackDP(parent, depth))
-		st.appends++
-		st.nextDeg += int64(e.g.Offsets[v+1] - e.g.Offsets[v])
-		if e.cfg.Instrument {
-			e.chargeVisit(st, v)
-		}
-		return append(next, v)
+		storeDP(&e.dp[v], packed)
 	case VISByte:
-		if !e.visByte.TrySet(v) {
+		if !e.visByte.TrySet(v) || loadDP(&e.dp[v]) != INF {
 			return next
 		}
+		storeDP(&e.dp[v], packed)
 	default: // VISBit, VISPartitioned
-		if !e.visBit.TrySet(v) {
+		if !claimBit(e.visBit.Words(), v, &e.dp[v], packed) {
 			return next
 		}
 	}
-	if e.cfg.Instrument {
-		st.traffic.Add(numa.StructVIS, e.topo.HomeSocket(v), st.socket, 1)
-	}
-	if loadDP(&e.dp[v]) != INF {
-		return next
-	}
-	storeDP(&e.dp[v], PackDP(parent, depth))
 	st.appends++
 	// m_f, for the direction heuristic and the fast-path bound. The
 	// benign duplicate-claim race can double-count a vertex's degree;
 	// both tolerate an over-estimate.
 	st.nextDeg += int64(e.g.Offsets[v+1] - e.g.Offsets[v])
 	if e.cfg.Instrument {
+		if e.visBit != nil || e.visByte != nil {
+			// One VIS touch per claim, as expandSerial charges it.
+			st.traffic.Add(numa.StructVIS, e.topo.HomeSocket(v), st.socket, 1)
+		}
 		e.chargeVisit(st, v)
 	}
 	return append(next, v)
+}
+
+// claimBit is Figure 2(b)'s claim of v for the bit VIS kinds, in one
+// body for visit and direct: set v's bit in the VIS words, re-check v's
+// DP entry dp (a plain store may have dropped a sibling's bit, so a set
+// bit is not proof of a fresh vertex) and store packed in it. It reports whether v was
+// claimed. Two workers can both claim a vertex of the same level; both
+// store the same depth, and the duplicate is benign.
+func claimBit(vis []uint32, v uint32, dp *uint64, packed uint64) bool {
+	if !bitmap.TrySetIn(vis, v) || loadDP(dp) != INF {
+		return false
+	}
+	storeDP(dp, packed)
+	return true
 }
 
 // chargeVisit accounts the DP update and next-frontier append of a newly

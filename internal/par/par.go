@@ -21,13 +21,11 @@ import (
 // participants. The zero value is not usable; create one with NewBarrier.
 //
 // The last participant to arrive releases a round by advancing a
-// generation counter. The others wait for it in three stages: they poll
-// it (spinPolls times, skipped when the participants cannot all run at
-// once), then poll it between runtime.Gosched calls (yieldPolls times),
-// and only then park on a condition variable. The yielding stage keeps
-// the wait cheap when goroutines outnumber processors: a waiter hands
-// its processor to whatever else is runnable — the participant it waits
-// for, or another engine's worker — instead of burning it.
+// generation counter. The others poll it between runtime.Gosched calls
+// (yieldPolls times) and only then park on a condition variable. A
+// polling waiter hands its processor to whatever else is runnable — the
+// participant it waits for, or another engine's worker — instead of
+// burning it.
 //
 // A barrier can be poisoned with Break: every current and future Wait
 // returns false immediately, so a cohort whose member died (panicked)
@@ -35,7 +33,6 @@ import (
 // participants have returned.
 type Barrier struct {
 	n     int32
-	spin  int // pure polls before yielding (0 when oversubscribed)
 	yield int // Gosched polls before parking
 
 	count atomic.Int32 // arrivals in the current round
@@ -51,22 +48,23 @@ type Barrier struct {
 
 const cacheLine = 64
 
-// The waiting stages of Barrier.Wait, sized on a 2-vCPU host (go1.24).
-// One poll costs about 1 ns and one Gosched round trip with nothing else
-// runnable 0.12-0.18 us (BenchmarkBarrierPolls), so spinPolls covers
-// about 2 us and yieldPolls about 20 us. A round with nothing between
-// arrivals costs 0.2-0.5 us polling (BenchmarkBarrier/poll) and 0.4 us
-// parked, since the runtime's own idle threads catch the wake-up; but
-// with a level's work between rounds a parked waiter's wake-up is an OS
-// thread wake-up, about 20 us a level (internal/core's
-// BenchmarkSmallLevel/grid/cohort at W=2, two rounds a level: 41-47 us
-// a level parked, 47-51 with 2 us of polling, 18-21 with the yielding
-// stage). So a waiter gives up and parks after about what parking costs:
-// the classic two-competitive bound on spinning.
-const (
-	spinPolls  = 1 << 11
-	yieldPolls = 128
-)
+// yieldPolls bounds Barrier.Wait's polling stage, sized on a 2-vCPU
+// host (go1.24). One runtime.Gosched round trip with nothing else
+// runnable costs 0.12-0.18 us (BenchmarkBarrierYield), so the stage
+// lasts about 20 us. A round with nothing between arrivals costs about
+// 0.4 us either way, since the runtime's own idle threads catch the
+// wake-up (BenchmarkBarrier); but with a level's work between rounds a
+// parked waiter's wake-up is an OS thread wake-up, about 20 us a level
+// (internal/core's BenchmarkSmallLevel/grid/cohort at W=2, two rounds a
+// level: 41-47 us a level parked, 17-24 polling). So a waiter gives up
+// and parks after about what parking costs: the classic two-competitive
+// bound on spinning. A stage of pure polls (no Gosched) ahead of this
+// one was tried and dropped: over six alternating runs at W=2 it
+// measured 17-23 us a grid level against 20-24 without it, 5.1-5.8
+// against 4.6-5.9 on grid256 and 1.8-2.0 (one run 5.3) against 0.9-1.3
+// on an empty level, and it holds a core that another engine's worker
+// may need.
+const yieldPolls = 128
 
 // NewBarrier returns a barrier for n participants. n must be >= 1.
 func NewBarrier(n int) *Barrier {
@@ -74,12 +72,6 @@ func NewBarrier(n int) *Barrier {
 		panic("par: NewBarrier with n < 1")
 	}
 	b := &Barrier{n: int32(n), yield: yieldPolls}
-	if n <= runtime.GOMAXPROCS(0) && n <= runtime.NumCPU() {
-		// Pure polling only helps when every participant can be running
-		// on a core of its own; otherwise the poller holds the core the
-		// participant it waits for needs.
-		b.spin = spinPolls
-	}
 	b.cond = sync.NewCond(&b.mu)
 	return b
 }
@@ -107,16 +99,14 @@ func (b *Barrier) Wait() bool {
 		}
 		return true
 	}
-	for i := 0; i < b.spin+b.yield; i++ {
+	for i := 0; i < b.yield; i++ {
 		if b.gen.Load() != gen {
 			return !b.broken.Load()
 		}
 		if b.broken.Load() {
 			return false
 		}
-		if i >= b.spin {
-			runtime.Gosched()
-		}
+		runtime.Gosched()
 	}
 	b.sleepers.Add(1)
 	b.mu.Lock()
@@ -171,6 +161,17 @@ func (e *PanicError) Unwrap() error {
 	return nil
 }
 
+// running counts the goroutines executing Run bodies, process-wide.
+var running atomic.Int64
+
+// Running returns how many goroutines are executing Run bodies across
+// the whole process at this moment — engine cohorts, batched sweeps,
+// parallel loops, and one-worker Runs such as an engine's serial
+// prologue. It is the parallelism the process is asking of its
+// processors through this package, for a caller choosing between a
+// parallel and a serial path to compare with GOMAXPROCS.
+func Running() int { return int(running.Load()) }
+
 // Run launches workers goroutines each executing body(worker) and waits
 // for all of them. Bodies typically synchronize internally with a Barrier
 // shared across the workers.
@@ -188,8 +189,10 @@ func Run(workers int, body func(worker int)) error {
 		mu    sync.Mutex
 		first *PanicError
 	)
+	running.Add(int64(workers)) // before any body starts: visible at once
 	call := func(w int) {
 		defer func() {
+			running.Add(-1)
 			if r := recover(); r != nil {
 				mu.Lock()
 				if first == nil {

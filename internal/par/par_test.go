@@ -233,47 +233,40 @@ func TestBarrierBreak(t *testing.T) {
 }
 
 // TestBarrierBreakReleasesPollingWaiter: Break releases a waiter that is
-// still in a polling stage — spinning or yielding — not only a parked
-// one. Each stage's budget is made unbounded so the waiter cannot have
-// parked when Break comes; it must return false and never park.
+// still in the polling stage, not only a parked one. The stage's budget
+// is made unbounded so the waiter cannot have parked when Break comes;
+// it must return false and never park.
 func TestBarrierBreakReleasesPollingWaiter(t *testing.T) {
-	for _, stage := range []string{"spin", "yield"} {
-		t.Run(stage, func(t *testing.T) {
-			b := NewBarrier(2)
-			b.spin, b.yield = 0, 1<<30
-			if stage == "spin" {
-				b.spin, b.yield = 1<<30, 0
-			}
-			done := make(chan bool)
-			go func() { done <- b.Wait() }()
-			for b.count.Load() == 0 {
-				time.Sleep(time.Millisecond) // until the waiter has arrived
-			}
-			b.Break()
-			select {
-			case ok := <-done:
-				if ok {
-					t.Fatal("Wait returned true after Break")
-				}
-			case <-time.After(10 * time.Second):
-				t.Fatal("Break did not release the polling waiter")
-			}
-			if n := b.sleepers.Load(); n != 0 {
-				t.Fatalf("%d waiters parked; the test meant to break a polling one", n)
-			}
-		})
+	b := NewBarrier(2)
+	b.yield = 1 << 30
+	done := make(chan bool)
+	go func() { done <- b.Wait() }()
+	for b.count.Load() == 0 {
+		time.Sleep(time.Millisecond) // until the waiter has arrived
+	}
+	b.Break()
+	select {
+	case ok := <-done:
+		if ok {
+			t.Fatal("Wait returned true after Break")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Break did not release the polling waiter")
+	}
+	if n := b.sleepers.Load(); n != 0 {
+		t.Fatalf("%d waiters parked; the test meant to break a polling one", n)
 	}
 }
 
 // TestBarrierPollingRounds runs many rounds with each waiting stage
-// alone — spinning, yielding, parking — and with the shipped budgets,
-// so a lost release in any of them shows as a hang or a skipped round.
+// alone — polling, parking — and with the shipped budget, so a lost
+// release in either shows as a hang or a skipped round.
 func TestBarrierPollingRounds(t *testing.T) {
-	for _, budget := range []struct{ spin, yield int }{{spinPolls, 0}, {0, 1 << 30}, {0, 0}, {spinPolls, yieldPolls}} {
-		t.Run(fmt.Sprintf("spin=%d/yield=%d", budget.spin, budget.yield), func(t *testing.T) {
+	for _, yield := range []int{1 << 30, 0, yieldPolls} {
+		t.Run(fmt.Sprintf("yield=%d", yield), func(t *testing.T) {
 			const workers, rounds = 3, 200
 			b := NewBarrier(workers)
-			b.spin, b.yield = budget.spin, budget.yield
+			b.yield = yield
 			var round [workers]int32
 			if err := Run(workers, func(w int) {
 				for r := int32(1); r <= rounds; r++ {
@@ -296,5 +289,38 @@ func TestBarrierPollingRounds(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestRunningCountsBodies: Running counts every goroutine inside a Run
+// body, from before the first body starts until each body returns,
+// panicking ones included.
+func TestRunningCountsBodies(t *testing.T) {
+	base := Running()
+	for _, workers := range []int{1, 3} {
+		var inside sync.WaitGroup
+		inside.Add(workers)
+		release := make(chan struct{})
+		done := make(chan error)
+		go func() {
+			done <- Run(workers, func(w int) {
+				inside.Done()
+				<-release
+				if w == 0 {
+					panic("boom")
+				}
+			})
+		}()
+		inside.Wait()
+		if got := Running(); got != base+workers {
+			t.Errorf("workers=%d: Running() = %d inside the bodies, want %d", workers, got, base+workers)
+		}
+		close(release)
+		if err := <-done; err == nil {
+			t.Errorf("workers=%d: the panic was not reported", workers)
+		}
+		if got := Running(); got != base {
+			t.Errorf("workers=%d: Running() = %d after Run returned, want %d", workers, got, base)
+		}
 	}
 }
