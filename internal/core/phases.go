@@ -21,31 +21,29 @@ const cacheLine = 64
 // It is a constant, not a knob: it compares two costs of this code, not
 // a property of a graph. Measured on a 2-vCPU host (go1.24,
 // BenchmarkBarrier in internal/par; BenchmarkEmptyLevel and
-// BenchmarkSmallLevel here, three to six runs each; -cpu 1 / 2 / 4, the
+// BenchmarkSmallLevel here, three or four runs each; -cpu 1 / 2 / 4, the
 // last oversubscribing the two cores), with the single-phase cohort
 // level (one PBV bin, two barrier rounds):
 //
 //	barrier round, nothing between rounds   0.03  / 0.2-0.5 / 1.2-1.3 us
-//	cohort level, empty (path graph)        0.1   / 0.9-1.3 / 2.9-3.0 us
-//	cohort level, ~500 edges (grid256)      4.4-4.8 / 4.6-5.9 / 8.6-9.3 us
-//	cohort level, ~2K edges (grid)          33-36 / 19.5-23.7 / 38-42 us
+//	cohort level, empty (path graph)        0.1   / 1.4-1.9 / 2.9-3.0 us
+//	cohort level, ~500 edges (grid256)      4.4-4.8 / 5.0-5.9 / 8.6-9.3 us
+//	cohort level, ~2K edges (grid)          33-36 / 16.7-19.4 / 38-42 us
 //	fast-path level, empty                  0.04-0.09 us
-//	fast-path level, ~500 / ~2K edges       2.8-3.8 / 25-29 us
-//	cohort cost per edge, scale-16 R-MAT    6.5-8.6 / 7.4-8.0 / 7.9-9.3 ns
-//	fast-path cost per edge, same           4.7-5.7 ns
+//	fast-path level, ~500 / ~2K edges       2.8-3.8 / 24-29 us
+//	cohort cost per edge, scale-16 R-MAT    6.5-8.6 / 7.1-8.9 / 7.9-9.3 ns
+//	fast-path cost per edge, same           4.7-6.7 ns
 //
-// What that settles at two workers: a ~2K-edge grid level is 2-9 us
-// cheaper on the cohort and a ~500-edge one 1-2 us dearer. With the
-// fixed cost F ≈ 1.1 us and the 1024² grid's per-edge costs (fast path
-// c_s ≈ 13 ns, cohort ≈ 10 ns at W=2) the crossover F/(c_s − c_p/2) is
-// about 150 edges; 1K sits between the measured loss and the measured
-// win. On the scale-16 R-MAT the cohort wins at no level size (its DP is
-// cache-resident, so the fast path's DP-only claim is cheap, while the
-// workers' VIS and DP lines move between cores), so an R-MAT level of
-// 1K-16K edges, which the fast path used to take, costs up to ~3 ns an
-// edge more — a few levels a run. Oversubscribed (W=4 on two cores) the
-// cohort loses at every size, which is why levelBound falls back to
-// serialLevelWorkSolo there.
+// What that settles at two workers: a ~2K-edge grid level is 5-12 us
+// cheaper on the cohort and a ~500-edge one 1-2 us dearer, so the
+// crossover lies between, and 1K sits between the measured loss and the
+// measured win. On the scale-16 R-MAT the cohort wins at no level size
+// (its DP is cache-resident, so the fast path's DP-only claim is cheap,
+// while the workers' VIS and DP lines move between cores), so an R-MAT
+// level of 1K-16K edges, which the fast path used to take, costs up to
+// ~3 ns an edge more — a few levels a run. Oversubscribed (W=4 on two
+// cores) the cohort loses at every size, which is why levelBound falls
+// back to serialLevelWorkSolo there.
 const serialLevelWork = 1 << 10
 
 // serialLevelWorkSolo is the bound at one worker, where a cohort level
@@ -413,8 +411,9 @@ func (e *Engine) direct(st *workerState, depth uint32) {
 				}
 				continue
 			}
+			packed := PackDP(u, depth)
 			for _, v := range adj {
-				if !claimBit(vis, v, &dp[v], PackDP(u, depth)) {
+				if !claimBit(vis, v, &dp[v], packed) {
 					continue
 				}
 				appends++

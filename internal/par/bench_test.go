@@ -10,7 +10,7 @@ import (
 // that do nothing between rounds — the floor of the per-level
 // synchronisation cost the engine pays (a single-phase top-down level
 // makes two such rounds). "poll" is the shipped barrier, whose waiters
-// poll before they park; "park" has the polling stage off, so every
+// poll before they park; "park" has the polling stages off, so every
 // waiter but the last parks and each round pays a wake-up: what a round
 // costs once the polling budget is spent, and what the budget is sized
 // against.
@@ -20,7 +20,7 @@ func BenchmarkBarrier(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/participants=%d", mode, n), func(b *testing.B) {
 				bar := NewBarrier(n)
 				if mode == "park" {
-					bar.yield = 0
+					bar.spin, bar.yield = 0, 0
 				}
 				if err := Run(n, func(int) {
 					for i := 0; i < b.N; i++ {
@@ -34,11 +34,26 @@ func BenchmarkBarrier(b *testing.B) {
 	}
 }
 
-// BenchmarkBarrierYield prices the polling stage's unit cost: one
-// runtime.Gosched round trip with nothing else runnable. yieldPolls is
-// the stage's time budget divided by this cost.
-func BenchmarkBarrierYield(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		runtime.Gosched()
-	}
+// BenchmarkBarrierPolls prices the two polling stages' unit costs: one
+// poll of the generation counter, and one runtime.Gosched round trip
+// with nothing else runnable. spinPolls and yieldPolls are the stages'
+// time budgets divided by these costs.
+func BenchmarkBarrierPolls(b *testing.B) {
+	b.Run("spin", func(b *testing.B) {
+		bar := NewBarrier(2)
+		var hits int
+		for i := 0; i < b.N; i++ {
+			if bar.gen.Load() != 0 || bar.broken.Load() {
+				hits++
+			}
+		}
+		if hits != 0 {
+			b.Fatal("generation moved")
+		}
+	})
+	b.Run("yield", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			runtime.Gosched()
+		}
+	})
 }

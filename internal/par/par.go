@@ -21,11 +21,16 @@ import (
 // participants. The zero value is not usable; create one with NewBarrier.
 //
 // The last participant to arrive releases a round by advancing a
-// generation counter. The others poll it between runtime.Gosched calls
-// (yieldPolls times) and only then park on a condition variable. A
-// polling waiter hands its processor to whatever else is runnable — the
-// participant it waits for, or another engine's worker — instead of
-// burning it.
+// generation counter. The others wait for it in three stages: they poll
+// it (spinPolls times), then poll it between runtime.Gosched calls
+// (yieldPolls times), and only then park on a condition variable. The
+// first stage runs only while every goroutine running Run bodies in the
+// process can have a processor (Running against GOMAXPROCS and the
+// CPUs): otherwise the poller would hold a core that the participant it
+// waits for, or another engine's worker, needs. The yielding stage
+// keeps the wait cheap when goroutines outnumber processors: a waiter
+// hands its processor to whatever else is runnable instead of burning
+// it.
 //
 // A barrier can be poisoned with Break: every current and future Wait
 // returns false immediately, so a cohort whose member died (panicked)
@@ -33,6 +38,8 @@ import (
 // participants have returned.
 type Barrier struct {
 	n     int32
+	procs int // min(GOMAXPROCS, NumCPU) at NewBarrier
+	spin  int // pure polls before yielding, while Running() <= procs
 	yield int // Gosched polls before parking
 
 	count atomic.Int32 // arrivals in the current round
@@ -48,30 +55,38 @@ type Barrier struct {
 
 const cacheLine = 64
 
-// yieldPolls bounds Barrier.Wait's polling stage, sized on a 2-vCPU
-// host (go1.24). One runtime.Gosched round trip with nothing else
-// runnable costs 0.12-0.18 us (BenchmarkBarrierYield), so the stage
-// lasts about 20 us. A round with nothing between arrivals costs about
-// 0.4 us either way, since the runtime's own idle threads catch the
-// wake-up (BenchmarkBarrier); but with a level's work between rounds a
-// parked waiter's wake-up is an OS thread wake-up, about 20 us a level
-// (internal/core's BenchmarkSmallLevel/grid/cohort at W=2, two rounds a
-// level: 41-47 us a level parked, 17-24 polling). So a waiter gives up
-// and parks after about what parking costs: the classic two-competitive
-// bound on spinning. A stage of pure polls (no Gosched) ahead of this
-// one was tried and dropped: over six alternating runs at W=2 it
-// measured 17-23 us a grid level against 20-24 without it, 5.1-5.8
-// against 4.6-5.9 on grid256 and 1.8-2.0 (one run 5.3) against 0.9-1.3
-// on an empty level, and it holds a core that another engine's worker
-// may need.
-const yieldPolls = 128
+// The waiting stages of Barrier.Wait, sized on a 2-vCPU host (go1.24).
+// One poll costs about 1 ns and one Gosched round trip with nothing else
+// runnable 0.12-0.17 us (BenchmarkBarrierPolls), so spinPolls covers
+// about 2 us and yieldPolls about 20 us. A round with nothing between
+// arrivals costs 0.2-0.5 us polling (BenchmarkBarrier/poll) and 0.4 us
+// parked, since the runtime's own idle threads catch the wake-up; but
+// with a level's work between rounds a parked waiter's wake-up is an OS
+// thread wake-up, about 20 us a level (internal/core's
+// BenchmarkSmallLevel/grid/cohort at W=2, two rounds a level: 41-47 us
+// a level parked, 19-24 with the yielding stage alone). So a waiter
+// gives up and parks after about what parking costs: the classic
+// two-competitive bound on spinning.
+//
+// The spinning stage pays on levels with a little work and costs on
+// empty ones. Against the yielding stage alone, in alternating runs at
+// W=2: BenchmarkSmallLevel/grid/cohort 16.7-19.4 against 18.8-21.2 us a
+// level, grid256 5.0-5.5 against 5.3-5.8 us, BenchmarkEmptyLevel 1.4-1.8
+// against 1.1-1.2 us (four pairs each); the benchmark's offline-grid
+// workload (a 1024x1024 grid, 2,047 levels) 22.4 against 20.6 qps,
+// medians of ten pairs, nine won.
+const (
+	spinPolls  = 1 << 11
+	yieldPolls = 128
+)
 
 // NewBarrier returns a barrier for n participants. n must be >= 1.
 func NewBarrier(n int) *Barrier {
 	if n < 1 {
 		panic("par: NewBarrier with n < 1")
 	}
-	b := &Barrier{n: int32(n), yield: yieldPolls}
+	procs := min(runtime.GOMAXPROCS(0), runtime.NumCPU())
+	b := &Barrier{n: int32(n), procs: procs, spin: spinPolls, yield: yieldPolls}
 	b.cond = sync.NewCond(&b.mu)
 	return b
 }
@@ -99,14 +114,17 @@ func (b *Barrier) Wait() bool {
 		}
 		return true
 	}
-	for i := 0; i < b.yield; i++ {
+	spin := b.spinBudget()
+	for i := 0; i < spin+b.yield; i++ {
 		if b.gen.Load() != gen {
 			return !b.broken.Load()
 		}
 		if b.broken.Load() {
 			return false
 		}
-		runtime.Gosched()
+		if i >= spin {
+			runtime.Gosched()
+		}
 	}
 	b.sleepers.Add(1)
 	b.mu.Lock()
@@ -116,6 +134,17 @@ func (b *Barrier) Wait() bool {
 	b.mu.Unlock()
 	b.sleepers.Add(-1)
 	return !b.broken.Load()
+}
+
+// spinBudget is the length of the spinning stage for a Wait starting
+// now: none while more goroutines run Run bodies than there are
+// processors, so the waiter hands its processor over from the first
+// poll.
+func (b *Barrier) spinBudget() int {
+	if Running() > b.procs {
+		return 0
+	}
+	return b.spin
 }
 
 // Break poisons the barrier: all participants currently waiting in Wait

@@ -233,40 +233,48 @@ func TestBarrierBreak(t *testing.T) {
 }
 
 // TestBarrierBreakReleasesPollingWaiter: Break releases a waiter that is
-// still in the polling stage, not only a parked one. The stage's budget
-// is made unbounded so the waiter cannot have parked when Break comes;
-// it must return false and never park.
+// still in a polling stage — spinning or yielding — not only a parked
+// one. Each stage's budget is made unbounded so the waiter cannot have
+// parked when Break comes; it must return false and never park.
 func TestBarrierBreakReleasesPollingWaiter(t *testing.T) {
-	b := NewBarrier(2)
-	b.yield = 1 << 30
-	done := make(chan bool)
-	go func() { done <- b.Wait() }()
-	for b.count.Load() == 0 {
-		time.Sleep(time.Millisecond) // until the waiter has arrived
-	}
-	b.Break()
-	select {
-	case ok := <-done:
-		if ok {
-			t.Fatal("Wait returned true after Break")
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("Break did not release the polling waiter")
-	}
-	if n := b.sleepers.Load(); n != 0 {
-		t.Fatalf("%d waiters parked; the test meant to break a polling one", n)
+	for _, stage := range []string{"spin", "yield"} {
+		t.Run(stage, func(t *testing.T) {
+			b := NewBarrier(2)
+			b.spin, b.yield = 0, 1<<30
+			if stage == "spin" {
+				b.procs = 1 << 30 // spin whatever else the process runs
+				b.spin, b.yield = 1<<30, 0
+			}
+			done := make(chan bool)
+			go func() { done <- b.Wait() }()
+			for b.count.Load() == 0 {
+				time.Sleep(time.Millisecond) // until the waiter has arrived
+			}
+			b.Break()
+			select {
+			case ok := <-done:
+				if ok {
+					t.Fatal("Wait returned true after Break")
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("Break did not release the polling waiter")
+			}
+			if n := b.sleepers.Load(); n != 0 {
+				t.Fatalf("%d waiters parked; the test meant to break a polling one", n)
+			}
+		})
 	}
 }
 
 // TestBarrierPollingRounds runs many rounds with each waiting stage
-// alone — polling, parking — and with the shipped budget, so a lost
-// release in either shows as a hang or a skipped round.
+// alone — spinning, yielding, parking — and with the shipped budgets,
+// so a lost release in any of them shows as a hang or a skipped round.
 func TestBarrierPollingRounds(t *testing.T) {
-	for _, yield := range []int{1 << 30, 0, yieldPolls} {
-		t.Run(fmt.Sprintf("yield=%d", yield), func(t *testing.T) {
+	for _, budget := range []struct{ spin, yield int }{{spinPolls, 0}, {0, 1 << 30}, {0, 0}, {spinPolls, yieldPolls}} {
+		t.Run(fmt.Sprintf("spin=%d/yield=%d", budget.spin, budget.yield), func(t *testing.T) {
 			const workers, rounds = 3, 200
 			b := NewBarrier(workers)
-			b.yield = yield
+			b.spin, b.yield = budget.spin, budget.yield
 			var round [workers]int32
 			if err := Run(workers, func(w int) {
 				for r := int32(1); r <= rounds; r++ {
@@ -289,6 +297,37 @@ func TestBarrierPollingRounds(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestBarrierSpinsOnlyWithFreeProcessors: a Wait spins only while the
+// goroutines running Run bodies fit in the processors; with one more
+// than that it goes straight to yielding.
+func TestBarrierSpinsOnlyWithFreeProcessors(t *testing.T) {
+	b := NewBarrier(2)
+	if Running() <= b.procs && b.spinBudget() != spinPolls {
+		t.Fatalf("spin budget %d with %d of %d processors busy, want %d",
+			b.spinBudget(), Running(), b.procs, spinPolls)
+	}
+	extra := b.procs + 1 - Running()
+	var inside sync.WaitGroup
+	inside.Add(extra)
+	release := make(chan struct{})
+	done := make(chan error)
+	go func() {
+		done <- Run(extra, func(int) {
+			inside.Done()
+			<-release
+		})
+	}()
+	inside.Wait()
+	if got := b.spinBudget(); got != 0 {
+		t.Errorf("spin budget %d with %d goroutines in Run bodies on %d processors, want 0",
+			got, Running(), b.procs)
+	}
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
 	}
 }
 
