@@ -67,9 +67,10 @@ const serialLevelWorkSolo = 16 << 10
 // other goroutine running par.Run bodies in the process (other engines,
 // batched sweeps, parallel loops), fit in the processors the run may
 // use; otherwise, and at one worker, the bound is serialLevelWorkSolo.
-// Measured in the daemon, where two pooled W=2 engines and batched
-// sweeps share two cores, the 1K bound alone cost about 10 % of
-// serve-burst's throughput.
+// The daemon, whose two pooled W=2 engines and batched sweeps share two
+// cores, is where this matters, but its benchmark workloads could not
+// tell this rule from a bare 1K bound within their run-to-run spread;
+// the rule rests on the oversubscribed rows.
 func (e *Engine) levelBound() int64 {
 	if e.serialBelow >= 0 {
 		return e.serialBelow
