@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io/fs"
 	"os"
 	"path/filepath"
 )
@@ -81,22 +80,6 @@ func SaveCheckpoint(dir string, c *Checkpoint) error {
 		return err
 	}
 	return syncDir(dir)
-}
-
-// LoadCheckpoint reads the snapshot SaveCheckpoint wrote in dir. A
-// missing file returns (nil, nil): no state, fresh start. A corrupt file
-// returns a nil checkpoint and an ErrCheckpoint the caller may log — it
-// must still boot fresh rather than refuse. A shard's round log is not a
-// snapshot and reads as ErrCheckpoint here.
-func LoadCheckpoint(dir string) (*Checkpoint, error) {
-	b, err := os.ReadFile(checkpointPath(dir))
-	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return nil, nil
-		}
-		return nil, err
-	}
-	return decodeCheckpoint(b)
 }
 
 // decodeCheckpoint parses a FBFSCKP1 or FBFSCKP2 snapshot.

@@ -102,11 +102,6 @@ type GroupAssignment struct {
 	URLs     []string
 }
 
-// URL returns the shard URL of (group, replica).
-func (a *GroupAssignment) URL(group, replica int) string {
-	return a.URLs[group*int(a.Replicas)+replica]
-}
-
 // Encode returns the assignment's canonical wire encoding.
 func (a *GroupAssignment) Encode() []byte {
 	size := len(assignmentMagic) + 4 + 4 + 4

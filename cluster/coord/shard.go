@@ -484,15 +484,6 @@ func (s *Shard) closeLog() {
 	}
 }
 
-// Resets returns how many round-0 epoch resets the shard has absorbed;
-// resume tests use it to prove a standby takeover did NOT restart the
-// in-flight epoch.
-func (s *Shard) Resets() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.resets
-}
-
 // Depths returns the shard's committed depth slice for epoch, refusing
 // other epochs (the coordinator must never mix epochs in one result).
 func (s *Shard) Depths(epoch uint64, fence uint64) (*DepthSlice, error) {

@@ -32,7 +32,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"math/bits"
 
 	"fastbfs/graph"
 )
@@ -115,48 +114,6 @@ func frontierWords(lo, hi uint32) int {
 func (f *Frontier) Set(v uint32) {
 	i := v - f.Lo
 	f.words[i>>5] |= 1 << (i & 31)
-}
-
-// Has reports whether vertex v is marked.
-func (f *Frontier) Has(v uint32) bool {
-	if v < f.Lo || v >= f.Hi {
-		return false
-	}
-	i := v - f.Lo
-	return f.words[i>>5]&(1<<(i&31)) != 0
-}
-
-// Count returns the number of marked vertices.
-func (f *Frontier) Count() int {
-	c := 0
-	for _, w := range f.words {
-		c += bits.OnesCount32(w)
-	}
-	return c
-}
-
-// Empty reports whether no vertex is marked.
-func (f *Frontier) Empty() bool {
-	for _, w := range f.words {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// ForEach calls fn for every marked vertex in ascending order.
-func (f *Frontier) ForEach(fn func(v uint32)) {
-	for wi, w := range f.words {
-		for w != 0 {
-			b := bits.TrailingZeros32(w)
-			v := f.Lo + uint32(wi<<5+b)
-			if v < f.Hi {
-				fn(v)
-			}
-			w &^= 1 << b
-		}
-	}
 }
 
 // Union ors o into f; both must cover the identical range.
@@ -245,8 +202,8 @@ func decodeFrontierPrefix(b []byte) (*Frontier, int, error) {
 	for i := range f.words {
 		f.words[i] = binary.LittleEndian.Uint32(b[fixed+4*i:])
 	}
-	// Bits past Hi inside the last word would be invisible to ForEach
-	// but corrupt Count; reject them as the garbage they are.
+	// Bits past Hi inside the last word name no vertex of the range;
+	// reject them as the garbage they are.
 	if n := int(f.Hi-f.Lo) & 31; n != 0 && nwords > 0 {
 		if f.words[nwords-1]&^(1<<n-1) != 0 {
 			return nil, 0, fmt.Errorf("%w: frontier bits set past range end", ErrWire)

@@ -8,7 +8,6 @@
 //
 //	bfsd -addr :8080 -graph social=social.csr -graph roads=roads.csr
 //	bfsd -graph rmat:scale=18          # generated, served as "default"
-//	bfsd -graph big=rmat:scale=20 -hybrid   # direction-optimizing engines + sweeps
 //
 // Each -graph value is [name=]SOURCE, where SOURCE is a CSR file or a
 // generator spec, kind:key=value,... as graphgen takes it (bfsd -h lists
@@ -119,7 +118,6 @@ func main() {
 	batchMin := flag.Int("batchmin", 4, "min queued sources that run as one multi-source sweep")
 	timeout := flag.Duration("timeout", 5*time.Second, "default per-query deadline")
 	drainTimeout := flag.Duration("draintimeout", 15*time.Second, "graceful drain bound at shutdown")
-	hybrid := flag.Bool("hybrid", false, "direction-optimizing traversal for engines and batched sweeps")
 	symmetric := flag.Bool("symmetric", false, "assert served graphs are symmetric (hybrid skips transposes)")
 	maxResident := flag.Int64("max-resident-bytes", 0, "resident graph-memory budget; idle graphs are evicted LRU-first (0 = unlimited)")
 	breakerThreshold := flag.Int("breaker-threshold", 5, "consecutive engine-side failures that open a graph's circuit breaker (negative disables)")
@@ -181,7 +179,6 @@ func main() {
 
 	opts := bfs.Default(1)
 	opts.Workers = *workers
-	opts.Hybrid = *hybrid
 	opts.Symmetric = *symmetric
 	svc := serve.New(serve.Config{
 		PoolSize:       *pool,

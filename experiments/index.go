@@ -140,14 +140,3 @@ func Index(cfg Config) (*stats.Table, error) {
 	}
 	return t, nil
 }
-
-// IndexReport runs the degree-policy benchmark for the JSON artifact.
-func IndexReport(cfg Config) (*IndexBench, error) {
-	cfg = cfg.withDefaults()
-	g, err := hybridGraph(cfg)
-	if err != nil {
-		return nil, err
-	}
-	defer bfs.ReleaseInAdjacency(g)
-	return indexBench(cfg, g, index.PolicyDegree)
-}

@@ -12,7 +12,6 @@ package graph
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"fastbfs/internal/par"
 )
@@ -198,8 +197,7 @@ func FromDegrees(degrees []int32, fill func(v uint32, adj []uint32)) (*Graph, er
 }
 
 // Symmetrize returns a new graph in which every edge (u,v) also appears
-// as (v,u). Self-loops are kept once. Duplicate edges are preserved; use
-// Dedup afterwards if a simple graph is required.
+// as (v,u). Self-loops are kept once. Duplicate edges are preserved.
 func (g *Graph) Symmetrize() *Graph {
 	n := g.NumVertices()
 	deg := make([]int64, n+1)
@@ -229,33 +227,6 @@ func (g *Graph) Symmetrize() *Graph {
 		}
 	}
 	return &Graph{Offsets: offsets, Neighbors: neighbors}
-}
-
-// Dedup returns a new graph with each adjacency list sorted and
-// duplicate neighbors removed. Self-loops are preserved (once).
-func (g *Graph) Dedup() *Graph {
-	n := g.NumVertices()
-	deg := make([]int32, n)
-	sorted := make([]uint32, len(g.Neighbors))
-	copy(sorted, g.Neighbors)
-	mustPar(par.For(par.DefaultWorkers(), n, func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			adj := sorted[g.Offsets[v]:g.Offsets[v+1]]
-			sort.Slice(adj, func(i, j int) bool { return adj[i] < adj[j] })
-			d := 0
-			for i := range adj {
-				if i == 0 || adj[i] != adj[i-1] {
-					adj[d] = adj[i]
-					d++
-				}
-			}
-			deg[v] = int32(d)
-		}
-	}))
-	out, _ := FromDegrees(deg, func(v uint32, adj []uint32) {
-		copy(adj, sorted[g.Offsets[v]:g.Offsets[v]+int64(len(adj))])
-	})
-	return out
 }
 
 // Relabel returns a new graph whose vertex v has the id perm[v]; perm

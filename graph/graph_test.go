@@ -79,21 +79,6 @@ func TestSymmetrize(t *testing.T) {
 	}
 }
 
-func TestDedup(t *testing.T) {
-	g := mustFromEdges(t, 3, []Edge{{0, 2}, {0, 1}, {0, 2}, {0, 1}, {1, 1}})
-	d := g.Dedup()
-	if d.NumEdges() != 3 {
-		t.Fatalf("E = %d, want 3", d.NumEdges())
-	}
-	adj := d.Neighbors1(0)
-	if len(adj) != 2 || adj[0] != 1 || adj[1] != 2 {
-		t.Fatalf("adj(0) = %v, want [1 2]", adj)
-	}
-	if !d.HasEdge(1, 1) {
-		t.Error("self-loop dropped")
-	}
-}
-
 func TestRelabelPreservesStructure(t *testing.T) {
 	g := mustFromEdges(t, 4, []Edge{{0, 1}, {1, 2}, {2, 3}, {3, 0}})
 	perm := []uint32{2, 0, 3, 1}
@@ -214,18 +199,6 @@ func TestStats(t *testing.T) {
 	}
 	if s.String() == "" {
 		t.Error("empty String()")
-	}
-}
-
-func TestDegreeHistogram(t *testing.T) {
-	g := mustFromEdges(t, 4, []Edge{{0, 1}, {0, 2}, {0, 3}, {0, 0}, {1, 0}})
-	zero, buckets := DegreeHistogram(g)
-	if zero != 2 {
-		t.Fatalf("zero = %d", zero)
-	}
-	// Vertex 0 has degree 4 (bucket 2), vertex 1 degree 1 (bucket 0).
-	if len(buckets) != 3 || buckets[0] != 1 || buckets[2] != 1 {
-		t.Fatalf("buckets = %v", buckets)
 	}
 }
 

@@ -55,32 +55,6 @@ func (s Stats) String() string {
 		s.Vertices, s.Edges, s.MinDegree, s.MeanDegree, s.MaxDegree, s.DegreeStdDev, s.Isolated)
 }
 
-// DegreeHistogram returns counts of vertices per power-of-two degree
-// bucket: bucket k counts degrees in [2^k, 2^(k+1)), with bucket 0 also
-// counting degree 0 separately in the returned zero count.
-func DegreeHistogram(g *Graph) (zero int, buckets []int64) {
-	n := g.NumVertices()
-	buckets = make([]int64, 33)
-	for v := 0; v < n; v++ {
-		d := g.Degree(uint32(v))
-		if d == 0 {
-			zero++
-			continue
-		}
-		b := 0
-		for x := d; x > 1; x >>= 1 {
-			b++
-		}
-		buckets[b]++
-	}
-	// Trim trailing empty buckets.
-	last := len(buckets)
-	for last > 0 && buckets[last-1] == 0 {
-		last--
-	}
-	return zero, buckets[:last]
-}
-
 // BFSDepth runs a serial BFS from source and returns the eccentricity
 // (maximum finite depth) and the number of reached vertices. It is the
 // reference used to report the "Depth" column of Table II analogues.

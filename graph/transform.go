@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"fmt"
 	"sort"
 
 	"fastbfs/internal/par"
@@ -58,41 +57,6 @@ func (g *Graph) TransposeParallel(workers int) *Graph {
 		return g.Transpose()
 	}
 	return t
-}
-
-// InducedSubgraph returns the subgraph induced by the given vertices,
-// relabeled to [0, len(vertices)) in the given order, plus the mapping
-// from new ids back to original ids. Duplicate vertices are rejected.
-func (g *Graph) InducedSubgraph(vertices []uint32) (*Graph, []uint32, error) {
-	n := g.NumVertices()
-	newID := make(map[uint32]uint32, len(vertices))
-	for i, v := range vertices {
-		if int(v) >= n {
-			return nil, nil, fmt.Errorf("graph: vertex %d out of range", v)
-		}
-		if _, dup := newID[v]; dup {
-			return nil, nil, fmt.Errorf("graph: duplicate vertex %d", v)
-		}
-		newID[v] = uint32(i)
-	}
-	deg := make([]int32, len(vertices))
-	adjacency := make([][]uint32, len(vertices))
-	for i, v := range vertices {
-		for _, w := range g.Neighbors1(v) {
-			if nw, ok := newID[w]; ok {
-				adjacency[i] = append(adjacency[i], nw)
-			}
-		}
-		deg[i] = int32(len(adjacency[i]))
-	}
-	sub, err := FromDegrees(deg, func(v uint32, adj []uint32) {
-		copy(adj, adjacency[v])
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	back := append([]uint32(nil), vertices...)
-	return sub, back, nil
 }
 
 // DegreeOrderPermutation returns a permutation that relabels vertices in

@@ -76,33 +76,6 @@ func TestTransposeParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestInducedSubgraph(t *testing.T) {
-	g := mustFromEdges(t, 5, []Edge{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 0}, {1, 4}})
-	sub, back, err := g.InducedSubgraph([]uint32{1, 2, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sub.NumVertices() != 3 {
-		t.Fatalf("V = %d", sub.NumVertices())
-	}
-	// Surviving edges: 1->2 and 1->4 (0 and 3 removed).
-	if sub.NumEdges() != 2 {
-		t.Fatalf("E = %d, want 2", sub.NumEdges())
-	}
-	if !sub.HasEdge(0, 1) || !sub.HasEdge(0, 2) {
-		t.Error("induced edges wrong")
-	}
-	if back[0] != 1 || back[1] != 2 || back[2] != 4 {
-		t.Errorf("back map wrong: %v", back)
-	}
-	if _, _, err := g.InducedSubgraph([]uint32{1, 1}); err == nil {
-		t.Error("duplicate vertex accepted")
-	}
-	if _, _, err := g.InducedSubgraph([]uint32{99}); err == nil {
-		t.Error("out-of-range vertex accepted")
-	}
-}
-
 func TestDegreeOrderPermutation(t *testing.T) {
 	g := mustFromEdges(t, 4, []Edge{{2, 0}, {2, 1}, {2, 3}, {0, 1}})
 	perm := DegreeOrderPermutation(g)

@@ -5,7 +5,7 @@ import "testing"
 // The VIS probe/update is the per-edge inner operation of Phase-II; the
 // paper's Figure 2 contrast (atomic vs atomic-free) in microcosm.
 
-func benchTrySet(b *testing.B, v VIS) {
+func benchTrySet(b *testing.B, v vis) {
 	const n = 1 << 20
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

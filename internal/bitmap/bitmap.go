@@ -19,24 +19,7 @@ package bitmap
 
 import "sync/atomic"
 
-// VIS is the operation set the traversal engine needs from a visited
-// structure. TrySet marks v visited and reports whether the caller may
-// proceed to the DP check: implementations return false only when the
-// vertex was definitely already visited.
-type VIS interface {
-	// TrySet marks v. The return value is false if v was definitely
-	// visited before this call; true means the caller must verify
-	// against DP (the atomic-free variants can return true for a vertex
-	// that a racing thread is concurrently visiting).
-	TrySet(v uint32) bool
-	// Reset clears all bits for a new traversal.
-	Reset()
-	// SizeBytes reports the memory footprint, which drives the
-	// cache-partitioning decision.
-	SizeBytes() int64
-}
-
-// Bitmap is the atomic-free bit-per-vertex VIS. TrySet and Get use plain
+// Bitmap is the atomic-free bit-per-vertex VIS. TrySet uses plain
 // 32-bit word loads and stores (a MOV each on x86-64; sync/atomic
 // Load/Store under the race detector, whose Store is an XCHG fence).
 // Neither is a read-modify-write, so the algorithm's benign lost-update
@@ -50,7 +33,9 @@ func NewBitmap(n int) *Bitmap {
 	return &Bitmap{words: make([]uint32, (n+31)/32)}
 }
 
-// TrySet implements VIS with the paper's Figure 2(b) protocol.
+// TrySet marks v and reports false only when v was definitely visited
+// before; true means the caller must verify against DP (a racing thread
+// may be visiting v too). It is the paper's Figure 2(b) protocol.
 func (b *Bitmap) TrySet(v uint32) bool { return TrySetIn(b.words, v) }
 
 // TrySetIn is Bitmap.TrySet on the bitmap's word array (Words), for a
@@ -68,17 +53,8 @@ func TrySetIn(words []uint32, v uint32) bool {
 	return true
 }
 
-// Get reports whether v's bit is set. A false result may be stale under
-// concurrency (benign, per the VIS protocol).
-func (b *Bitmap) Get(v uint32) bool {
-	return load(&b.words[v>>5])&(1<<(v&31)) != 0
-}
-
 // Reset clears the bitmap.
 func (b *Bitmap) Reset() { clearWords(b.words) }
-
-// SizeBytes implements VIS.
-func (b *Bitmap) SizeBytes() int64 { return int64(len(b.words)) * 4 }
 
 // Words exposes the raw word array for bulk operations that manage
 // their own synchronization: the bottom-up kernel reads frontier words
@@ -145,16 +121,8 @@ func (a *AtomicBitmap) TrySet(v uint32) bool {
 	}
 }
 
-// Get reports whether v's bit is set.
-func (a *AtomicBitmap) Get(v uint32) bool {
-	return atomic.LoadUint32(&a.words[v>>5])&(1<<(v&31)) != 0
-}
-
 // Reset clears the bitmap.
 func (a *AtomicBitmap) Reset() { clearWords(a.words) }
-
-// SizeBytes implements VIS.
-func (a *AtomicBitmap) SizeBytes() int64 { return int64(len(a.words)) * 4 }
 
 // ByteMap is the byte-per-vertex atomic-free VIS (paper footnote 2),
 // with Bitmap's plain word accesses. The flags are packed four to a
@@ -170,7 +138,7 @@ func NewByteMap(n int) *ByteMap {
 	return &ByteMap{bytes: make([]uint32, (n+3)/4)}
 }
 
-// TrySet implements VIS with one byte per vertex.
+// TrySet is Bitmap.TrySet with one byte per vertex.
 func (m *ByteMap) TrySet(v uint32) bool {
 	w := v >> 2
 	shift := (v & 3) * 8
@@ -182,16 +150,8 @@ func (m *ByteMap) TrySet(v uint32) bool {
 	return true
 }
 
-// Get reports whether v's byte is set.
-func (m *ByteMap) Get(v uint32) bool {
-	return load(&m.bytes[v>>2])&(0xff<<((v&3)*8)) != 0
-}
-
 // Reset clears the map.
 func (m *ByteMap) Reset() { clearWords(m.bytes) }
-
-// SizeBytes implements VIS.
-func (m *ByteMap) SizeBytes() int64 { return int64(len(m.bytes)) * 4 }
 
 func clearWords(w []uint32) {
 	for i := range w {

@@ -2,12 +2,30 @@ package bitmap
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
 
-func kinds(n int) map[string]VIS {
-	return map[string]VIS{
+// vis is the operation set every visited structure offers the engine.
+type vis interface {
+	TrySet(v uint32) bool
+	Reset()
+}
+
+// Get reports whether v's bit is set.
+func (b *Bitmap) Get(v uint32) bool { return load(&b.words[v>>5])&(1<<(v&31)) != 0 }
+
+// Get reports whether v's bit is set.
+func (a *AtomicBitmap) Get(v uint32) bool {
+	return atomic.LoadUint32(&a.words[v>>5])&(1<<(v&31)) != 0
+}
+
+// Get reports whether v's byte is set.
+func (m *ByteMap) Get(v uint32) bool { return load(&m.bytes[v>>2])&(0xff<<((v&3)*8)) != 0 }
+
+func kinds(n int) map[string]vis {
+	return map[string]vis{
 		"bitmap": NewBitmap(n),
 		"atomic": NewAtomicBitmap(n),
 		"byte":   NewByteMap(n),
@@ -179,17 +197,5 @@ func TestLog2(t *testing.T) {
 		if got := Log2(in); got != want {
 			t.Errorf("Log2(%d) = %d, want %d", in, got, want)
 		}
-	}
-}
-
-func TestSizeBytes(t *testing.T) {
-	if NewBitmap(64).SizeBytes() != 8 {
-		t.Error("Bitmap(64) should be 8 bytes")
-	}
-	if NewByteMap(64).SizeBytes() != 64 {
-		t.Error("ByteMap(64) should be 64 bytes")
-	}
-	if NewAtomicBitmap(64).SizeBytes() != 8 {
-		t.Error("AtomicBitmap(64) should be 8 bytes")
 	}
 }

@@ -128,7 +128,7 @@ func (e *Engine) bottomUp(st *workerState, depth uint32, wLo, wHi int) {
 			}
 			st.edges += int64(scanned)
 			if e.cfg.Instrument {
-				st.traffic.Add(numa.StructAdj, e.topo.HomeSocket(v), st.socket,
+				st.traffic.Add(numa.StructAdj, e.topo.HomeSocket(v),
 					2*cacheLine+4*int64(scanned))
 			}
 		}
@@ -191,51 +191,35 @@ func (e *Engine) markClaimedEach(base, mask uint32) {
 }
 
 // directionStep records the finished level's direction and decides the
-// next one (Beamer's α/β heuristic in the GAP formulation). Runs on
-// worker 0 inside finishStep, after the frontier swap: `total` is the
-// size of the frontier the next level will expand and `scout` its
-// out-edge sum, m_f.
+// next one with NextDirection. Runs on worker 0 inside finishStep, after
+// the frontier swap: `total` is the size of the frontier the next level
+// will expand and `scout` its out-edge sum, m_f.
 func (e *Engine) directionStep(m *trace.StepMetrics, total, scout int64) {
 	e.dirs = append(e.dirs, e.dir)
 	e.buConvert = false
-	if e.dir == DirTopDown {
-		// m_u shrinks by the edges this top-down step examined (bottom-up
-		// steps leave it alone, matching GAP: the estimate only needs to
-		// be conservative).
-		e.muEdges -= m.Edges
-		// The new frontier's out-edges are by definition unexamined, so
-		// m_u >= m_f. Without duplicate claims that already holds and this
-		// is a no-op; a racing cohort expands a doubly-claimed vertex twice,
-		// m.Edges over-counts, and m_u would otherwise sink to 0 and flip a
-		// late level at any α.
-		if e.muEdges < scout {
-			e.muEdges = scout
-		}
-		if total > 0 && float64(scout) > float64(e.muEdges)/e.cfg.Alpha {
-			e.dir = DirBottomUp
-			e.buConvert = true
-			if e.in == nil {
-				// First switch ever: resolve the in-adjacency. cfg.InAdj
-				// may run a parallel transpose — safe here because par.Run
-				// spawns fresh goroutines rather than borrowing this pool.
-				if e.cfg.InAdj != nil {
-					e.in = e.cfg.InAdj()
-				} else {
-					e.in = e.g // symmetric graph is its own in-adjacency
-				}
-				e.noIn = noInMask(e.in)
+	prev := e.dir
+	e.dir, e.muEdges = NextDirection(Level{
+		Dir: prev, Mu: e.muEdges, Examined: m.Edges,
+		Awake: e.awake, Next: total, Scout: scout,
+	}, int64(e.g.NumVertices()), e.cfg.Alpha, e.cfg.Beta)
+	switch {
+	case prev == DirTopDown && e.dir == DirBottomUp:
+		e.buConvert = true
+		if e.in == nil {
+			// First switch ever: resolve the in-adjacency. cfg.InAdj
+			// may run a parallel transpose — safe here because par.Run
+			// spawns fresh goroutines rather than borrowing this pool.
+			if e.cfg.InAdj != nil {
+				e.in = e.cfg.InAdj()
+			} else {
+				e.in = e.g // symmetric graph is its own in-adjacency
 			}
+			e.noIn = noInMask(e.in)
 		}
-	} else {
-		// Stay bottom-up while the frontier keeps growing or remains a
-		// large fraction of the graph; otherwise return top-down. The
-		// next arrays already hold the frontier in vertex order, so the
-		// return costs nothing.
-		if total >= e.awake || float64(total) > float64(e.g.NumVertices())/e.cfg.Beta {
-			// The bitmap stays the frontier representation: swap.
-			e.frontBit, e.nextBit = e.nextBit, e.frontBit
-		} else {
-			e.dir = DirTopDown
-		}
+	case prev == DirBottomUp && e.dir == DirBottomUp:
+		// The bitmap stays the frontier representation: swap. A return
+		// top-down costs nothing: the next arrays already hold the
+		// frontier in vertex order.
+		e.frontBit, e.nextBit = e.nextBit, e.frontBit
 	}
 }

@@ -130,8 +130,8 @@ func TestEncodingResolution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Encoding() != pbv.EncodingMarker {
-		t.Errorf("dense graph: encoding %v, want marker (N_PBV=2 < deg 32)", e.Encoding())
+	if e.enc != pbv.EncodingMarker {
+		t.Errorf("dense graph: encoding %v, want marker (N_PBV=2 < deg 32)", e.enc)
 	}
 	sparse, _ := gen.UniformRandom(1<<20, 2, 1)
 	e, err = New(sparse, Config{Sockets: 2, Workers: 2, VIS: VISPartitioned,
@@ -139,8 +139,8 @@ func TestEncodingResolution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Encoding() != pbv.EncodingPair {
-		t.Errorf("sparse graph with many bins: encoding %v, want pair", e.Encoding())
+	if e.enc != pbv.EncodingPair {
+		t.Errorf("sparse graph with many bins: encoding %v, want pair", e.enc)
 	}
 }
 

@@ -23,11 +23,6 @@ const INF = ^uint64(0)
 // claims the vertex.
 func PackDP(parent, depth uint32) uint64 { return uint64(parent)<<32 | uint64(depth) }
 
-// UnpackDP splits a DP word.
-func UnpackDP(dp uint64) (parent, depth uint32) {
-	return uint32(dp >> 32), uint32(dp)
-}
-
 // workerState is the per-worker slice of the traversal state. Fields are
 // only touched by the owning worker during a phase; worker 0 aggregates
 // the metric fields between barriers.
@@ -188,15 +183,9 @@ func New(g *graph.Graph, cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// Config returns the effective configuration (defaults resolved).
-func (e *Engine) Config() Config { return e.cfg }
-
 // Geometry exposes the derived bin/partition parameters for reporting:
 // N_VIS cache partitions and N_PBV bins.
 func (e *Engine) Geometry() (nVIS, nPBV int) { return e.geo.nVIS, e.geo.nPBV }
-
-// Encoding returns the resolved PBV encoding.
-func (e *Engine) Encoding() pbv.Encoding { return e.enc }
 
 // Result reports one traversal. DP aliases engine storage valid until
 // the next Run.

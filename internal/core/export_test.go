@@ -11,3 +11,8 @@ func (e *Engine) TwoPhase() bool { return e.twoPhase }
 
 // SerialLevelWork is the shipped fast-path bound for two or more workers.
 const SerialLevelWork = serialLevelWork
+
+// UnpackDP splits a DP word (PackDP's inverse).
+func UnpackDP(dp uint64) (parent, depth uint32) {
+	return uint32(dp >> 32), uint32(dp)
+}

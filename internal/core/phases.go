@@ -136,16 +136,10 @@ func (e *Engine) expandSerial(st *workerState, depth uint32) {
 	}
 	next := e.nxt.Arrays[0]
 	for w, arr := range e.cur.Arrays {
-		if e.cfg.Instrument {
-			st.traffic.Add(numa.StructBV, e.topo.SocketOf(w), st.socket, 4*int64(len(arr)))
-		}
+		start := len(next)
 		for _, u := range arr {
 			adj := e.g.Neighbors[e.g.Offsets[u]:e.g.Offsets[u+1]]
 			st.edges += int64(len(adj))
-			if e.cfg.Instrument {
-				st.traffic.Add(numa.StructAdj, e.topo.HomeSocket(u), st.socket,
-					2*cacheLine+4*int64(len(adj)))
-			}
 			for _, v := range adj {
 				if e.dp[v] != INF {
 					continue
@@ -154,15 +148,11 @@ func (e *Engine) expandSerial(st *workerState, depth uint32) {
 				e.markClaimed(visWords, int(v>>5), 1<<(v&31))
 				st.appends++
 				st.nextDeg += int64(e.g.Offsets[v+1] - e.g.Offsets[v]) // m_f, as in visit
-				if e.cfg.Instrument {
-					if visWords != nil || e.visByte != nil {
-						// One VIS touch per claim, as visit charges it.
-						st.traffic.Add(numa.StructVIS, e.topo.HomeSocket(v), st.socket, 1)
-					}
-					e.chargeVisit(st, v)
-				}
 				next = append(next, v)
 			}
+		}
+		if e.cfg.Instrument {
+			e.chargeExpansion(st, w, arr, next[start:])
 		}
 	}
 	e.nxt.Arrays[0] = next
@@ -200,7 +190,7 @@ func (e *Engine) phase1(st *workerState, step uint32) {
 	for _, sg := range st.fsegs {
 		arr := e.cur.Arrays[sg.Worker][sg.Lo:sg.Hi]
 		if e.cfg.Instrument {
-			st.traffic.Add(numa.StructBV, e.topo.SocketOf(sg.Worker), st.socket, 4*int64(len(arr)))
+			st.traffic.Add(numa.StructBV, e.topo.SocketOf(sg.Worker), 4*int64(len(arr)))
 		}
 		for k, u := range arr {
 			if pf := k + e.cfg.PrefetchDist; e.cfg.PrefetchDist > 0 && pf < len(arr) {
@@ -212,7 +202,7 @@ func (e *Engine) phase1(st *workerState, step uint32) {
 			adj := e.g.Neighbors[e.g.Offsets[u]:e.g.Offsets[u+1]]
 			st.edges += int64(len(adj))
 			if e.cfg.Instrument {
-				st.traffic.Add(numa.StructAdj, e.topo.HomeSocket(u), st.socket,
+				st.traffic.Add(numa.StructAdj, e.topo.HomeSocket(u),
 					2*cacheLine+4*int64(len(adj)))
 			}
 			if pair {
@@ -227,7 +217,7 @@ func (e *Engine) phase1(st *workerState, step uint32) {
 	if e.cfg.Instrument {
 		// PBV writes land in the worker's local allocation; write
 		// traffic doubles for the read-for-ownership (paper item 1.4).
-		st.traffic.Add(numa.StructPBV, st.socket, st.socket, 8*st.bins.Entries())
+		st.traffic.Add(numa.StructPBV, st.socket, 8*st.bins.Entries())
 	}
 }
 
@@ -339,7 +329,7 @@ func (e *Engine) phase2(st *workerState, step uint32) {
 	for _, sg := range st.psegs {
 		arr := e.ws[sg.Worker].bins.Bins[sg.Bin]
 		if e.cfg.Instrument {
-			st.traffic.Add(numa.StructPBV, e.topo.SocketOf(sg.Worker), st.socket,
+			st.traffic.Add(numa.StructPBV, e.topo.SocketOf(sg.Worker),
 				4*int64(sg.Hi-sg.Lo))
 		}
 		if e.enc == pbv.EncodingPair {
@@ -375,15 +365,16 @@ func (e *Engine) phase2(st *workerState, step uint32) {
 // the SchemeSinglePhase baseline, and every engine's top-down cohort
 // level when there is one PBV bin (see Engine.twoPhase).
 //
-// For the bit kinds without instrumentation it calls claimBit, which
-// inlines, rather than visit: a call per edge was half the kernel's cost
-// on BenchmarkSmallLevel. The counters stay in locals so two workers
-// never write one cache line per edge.
+// For the bit kinds it calls claimBit, which inlines, rather than visit:
+// a call per edge was half the kernel's cost on BenchmarkSmallLevel. The
+// counters stay in locals so two workers never write one cache line per
+// edge, and an instrumented run charges each slice's traffic after its
+// loop (chargeExpansion), so it times the same kernel as a plain run.
 func (e *Engine) direct(st *workerState, depth uint32) {
 	lo, hi := e.phase1Range(st)
 	st.fsegs = e.curLayout.Slice(lo, hi, st.fsegs[:0])
 	var vis []uint32
-	if e.visBit != nil && !e.cfg.Instrument {
+	if e.visBit != nil {
 		vis = e.visBit.Words()
 	}
 	dp, off, nbr := e.dp, e.g.Offsets, e.g.Neighbors
@@ -393,9 +384,7 @@ func (e *Engine) direct(st *workerState, depth uint32) {
 	var sink uint64
 	for _, sg := range st.fsegs {
 		arr := e.cur.Arrays[sg.Worker][sg.Lo:sg.Hi]
-		if e.cfg.Instrument {
-			st.traffic.Add(numa.StructBV, e.topo.SocketOf(sg.Worker), st.socket, 4*int64(len(arr)))
-		}
+		start := len(next)
 		for k, u := range arr {
 			if pf := k + pfd; pfd > 0 && pf < len(arr) {
 				sink += uint64(off[arr[pf]]) // as in phase1
@@ -403,10 +392,6 @@ func (e *Engine) direct(st *workerState, depth uint32) {
 			adj := nbr[off[u]:off[u+1]]
 			edges += int64(len(adj))
 			if vis == nil {
-				if e.cfg.Instrument {
-					st.traffic.Add(numa.StructAdj, e.topo.HomeSocket(u), st.socket,
-						2*cacheLine+4*int64(len(adj)))
-				}
 				for _, v := range adj {
 					next = e.visit(st, v, u, depth, next)
 				}
@@ -421,6 +406,13 @@ func (e *Engine) direct(st *workerState, depth uint32) {
 				nextDeg += int64(off[v+1] - off[v])
 				next = append(next, v)
 			}
+		}
+		if e.cfg.Instrument {
+			claimed := next[start:]
+			if vis == nil {
+				claimed = nil // visit charged its claims
+			}
+			e.chargeExpansion(st, sg.Worker, arr, claimed)
 		}
 	}
 	e.nxt.Arrays[st.id] = next
@@ -468,11 +460,7 @@ func (e *Engine) visit(st *workerState, v, parent, depth uint32, next []uint32) 
 	// both tolerate an over-estimate.
 	st.nextDeg += int64(e.g.Offsets[v+1] - e.g.Offsets[v])
 	if e.cfg.Instrument {
-		if e.visBit != nil || e.visByte != nil {
-			// One VIS touch per claim, as expandSerial charges it.
-			st.traffic.Add(numa.StructVIS, e.topo.HomeSocket(v), st.socket, 1)
-		}
-		e.chargeVisit(st, v)
+		e.chargeClaim(st, v)
 	}
 	return append(next, v)
 }
@@ -491,11 +479,36 @@ func claimBit(vis []uint32, v uint32, dp *uint64, packed uint64) bool {
 	return true
 }
 
+// chargeExpansion charges, after the fact, the traffic of expanding arr,
+// a slice of worker w's frontier array: the slice's BV read, each
+// vertex's adjacency read, and the claim of each vertex in claimed. The
+// totals equal charging every access as it happens, since traffic only
+// sums bytes per structure and home socket.
+func (e *Engine) chargeExpansion(st *workerState, w int, arr, claimed []uint32) {
+	st.traffic.Add(numa.StructBV, e.topo.SocketOf(w), 4*int64(len(arr)))
+	off := e.g.Offsets
+	for _, u := range arr {
+		st.traffic.Add(numa.StructAdj, e.topo.HomeSocket(u), 2*cacheLine+4*int64(off[u+1]-off[u]))
+	}
+	for _, v := range claimed {
+		e.chargeClaim(st, v)
+	}
+}
+
+// chargeClaim accounts the VIS touch (for the kinds that keep one), DP
+// update and next-frontier append of a newly visited vertex.
+func (e *Engine) chargeClaim(st *workerState, v uint32) {
+	if e.visBit != nil || e.visByte != nil {
+		st.traffic.Add(numa.StructVIS, e.topo.HomeSocket(v), 1)
+	}
+	e.chargeVisit(st, v)
+}
+
 // chargeVisit accounts the DP update and next-frontier append of a newly
 // visited vertex.
 func (e *Engine) chargeVisit(st *workerState, v uint32) {
 	// DP update: read-modify-write of a full cache line (paper item 2.3).
-	st.traffic.Add(numa.StructDP, e.topo.HomeSocket(v), st.socket, 2*cacheLine)
+	st.traffic.Add(numa.StructDP, e.topo.HomeSocket(v), 2*cacheLine)
 	// BV^N append is local (paper item 2.4: write + RFO).
-	st.traffic.Add(numa.StructBV, st.socket, st.socket, 8)
+	st.traffic.Add(numa.StructBV, st.socket, 8)
 }

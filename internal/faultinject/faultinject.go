@@ -47,13 +47,6 @@ const (
 	// reader starts failing with the rule's error after a hash-chosen
 	// byte offset, exercising mid-stream I/O failures.
 	SiteGraphLoad Site = "graph.load"
-	// SiteClientDrop is decided by chaos clients themselves (the serve
-	// package never consults it): a firing client abandons its query
-	// mid-wait, simulating a disconnecting or timing-out caller.
-	SiteClientDrop Site = "client.drop"
-	// SiteClientStall is also client-side: a firing client sleeps
-	// before reading its response, simulating slow consumers.
-	SiteClientStall Site = "client.stall"
 	// SiteCoordSend fires in the cluster coordinator's RPC client just
 	// before each per-shard request attempt: errors there simulate
 	// requests lost on the wire (the client retries with jittered
@@ -177,9 +170,6 @@ const (
 // SetEnabled atomically enables or disables the plan; a disabled plan
 // decides "no fault" everywhere.
 func (p *Plan) SetEnabled(on bool) { p.disabled.Store(!on) }
-
-// Enabled reports whether the plan is currently injecting.
-func (p *Plan) Enabled() bool { return !p.disabled.Load() }
 
 // Decide implements Injector: a pure hash of (Seed, site, key).
 func (p *Plan) Decide(site Site, key uint64) Decision {

@@ -13,7 +13,7 @@ func BenchmarkRearrange(b *testing.B) {
 	bv := make([]uint32, 1<<18)
 	orig := make([]uint32, len(bv))
 	for i := range orig {
-		orig[i] = g.Uint32() & (1<<20 - 1)
+		orig[i] = uint32(g.Uint64()>>32) & (1<<20 - 1)
 	}
 	r := NewRearranger(12, 256)
 	b.SetBytes(int64(len(bv)) * 4)
@@ -30,7 +30,8 @@ func BenchmarkLayoutSlice(b *testing.B) {
 	for w := range f.Arrays {
 		f.Arrays[w] = make([]uint32, 1000+w*100)
 	}
-	l := BuildLayout(f)
+	var l Layout
+	l.Build(f)
 	var segs []Segment
 	for i := 0; i < b.N; i++ {
 		lo := int64(i % 1000)

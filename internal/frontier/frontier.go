@@ -39,13 +39,6 @@ type Layout struct {
 	prefix []int64
 }
 
-// BuildLayout computes prefix sums over the worker arrays.
-func BuildLayout(f *Frontier) *Layout {
-	l := &Layout{}
-	l.Build(f)
-	return l
-}
-
 // Build recomputes l for f in place, reusing its storage: the engine
 // rebuilds one layout per level.
 func (l *Layout) Build(f *Frontier) {
@@ -168,6 +161,3 @@ func (r *Rearranger) Rearrange(bv []uint32) {
 	}
 	copy(bv, tmp)
 }
-
-// Regions returns the number of regions the Rearranger uses.
-func (r *Rearranger) Regions() int { return len(r.counts) }

@@ -27,7 +27,8 @@ func TestLayoutSliceCoverage(t *testing.T) {
 	f.Arrays[1] = nil
 	f.Arrays[2] = []uint32{4}
 	f.Arrays[3] = []uint32{5, 6}
-	l := BuildLayout(f)
+	var l Layout
+	l.Build(f)
 	if l.Total() != 6 {
 		t.Fatalf("Total = %d", l.Total())
 	}
@@ -56,7 +57,8 @@ func TestLayoutStart(t *testing.T) {
 	f := New(2)
 	f.Arrays[0] = []uint32{9, 9}
 	f.Arrays[1] = []uint32{9}
-	l := BuildLayout(f)
+	var l Layout
+	l.Build(f)
 	if l.Start(0) != 0 || l.Start(1) != 2 || l.Start(2) != 3 {
 		t.Errorf("Start values wrong: %d %d %d", l.Start(0), l.Start(1), l.Start(2))
 	}

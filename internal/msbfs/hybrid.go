@@ -23,16 +23,12 @@ import (
 // analogue of first-parent early exit: the scan stops when the
 // remaining-lanes mask drains, not after one hit).
 
-// RunHybrid performs one direction-optimizing multi-source sweep. in is
-// the in-adjacency used by bottom-up levels; nil asserts g is symmetric
-// (g then serves as its own in-adjacency). Depths per lane are exactly
-// those of independent BFS runs. workers <= 0 means GOMAXPROCS.
-func RunHybrid(g, in *graph.Graph, sources []uint32, workers int) (*Result, error) {
-	return RunHybridContext(context.Background(), g, in, sources, workers)
-}
-
-// RunHybridContext is RunHybrid under a context, checked between levels.
-// The α/β thresholds are the engine defaults (core.DefaultAlpha/Beta).
+// RunHybridContext performs one direction-optimizing multi-source sweep
+// under ctx, checked between levels. in is the in-adjacency used by
+// bottom-up levels; nil asserts g is symmetric (g then serves as its own
+// in-adjacency). Depths per lane are exactly those of independent BFS
+// runs. workers <= 0 means GOMAXPROCS. The direction rule is the
+// engine's, core.NextDirection, at its default α/β.
 func RunHybridContext(ctx context.Context, g, in *graph.Graph, sources []uint32, workers int) (*Result, error) {
 	lanes := len(sources)
 	if lanes == 0 {
@@ -142,23 +138,18 @@ func RunHybridContext(ctx context.Context, g, in *graph.Graph, sources []uint32,
 			next = append(next, ws[w].touched...)
 		}
 
-		// Direction decision for the next level (engine α/β rule).
+		// Direction decision for the next level: the engine's rule at its
+		// default α/β. Only a top-down level reads m_f.
+		var scout int64
 		if dir == core.DirTopDown {
-			muEdges -= levelScanned
-			if muEdges < 0 {
-				muEdges = 0
-			}
-			var scout int64
 			for _, v := range next {
 				scout += int64(g.Offsets[v+1] - g.Offsets[v])
 			}
-			if len(next) > 0 && float64(scout) > float64(muEdges)/core.DefaultAlpha {
-				dir = core.DirBottomUp
-			}
-		} else if len(next) < len(frontier) &&
-			float64(len(next)) <= float64(n)/core.DefaultBeta {
-			dir = core.DirTopDown
 		}
+		dir, muEdges = core.NextDirection(core.Level{
+			Dir: dir, Mu: muEdges, Examined: levelScanned,
+			Awake: int64(len(frontier)), Next: int64(len(next)), Scout: scout,
+		}, int64(n), core.DefaultAlpha, core.DefaultBeta)
 
 		frontier, next = next, frontier
 	}

@@ -1,6 +1,7 @@
 package msbfs
 
 import (
+	"context"
 	"testing"
 
 	"fastbfs/graph"
@@ -37,7 +38,7 @@ func TestHybridSweepMatchesSerial(t *testing.T) {
 				for k := range sources {
 					sources[k] = uint32((k * 131) % tc.g.NumVertices())
 				}
-				res, err := RunHybrid(tc.g, tc.in, sources, workers)
+				res, err := RunHybridContext(context.Background(), tc.g, tc.in, sources, workers)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -67,7 +68,7 @@ func TestHybridSweepSwitches(t *testing.T) {
 	for k := range sources {
 		sources[k] = uint32(k)
 	}
-	res, err := RunHybrid(g, g.Transpose(), sources, 4)
+	res, err := RunHybridContext(context.Background(), g, g.Transpose(), sources, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +82,7 @@ func TestHybridSweepSwitches(t *testing.T) {
 		t.Errorf("no bottom-up level on scale-12/ef16 batch (dirs=%s)",
 			core.DirectionString(res.Directions))
 	}
-	plain, err := Run(g, sources, 4)
+	plain, err := RunContext(context.Background(), g, sources, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -81,15 +81,6 @@ func (r *Result) Depth(lane int, v uint32) int32 {
 	return int32(uint32(dp))
 }
 
-// Parent returns lane k's BFS parent of v, or -1 if unreached.
-func (r *Result) Parent(lane int, v uint32) int64 {
-	dp := r.DP[lane][v]
-	if dp == core.INF {
-		return -1
-	}
-	return int64(dp >> 32)
-}
-
 // ErrDepthOverflow reports a lane whose BFS depth does not fit the
 // caller's compact depth encoding (DepthsInto).
 var ErrDepthOverflow = errors.New("msbfs: lane depth exceeds encoding range")
@@ -125,17 +116,6 @@ func (r *Result) DepthsInto(lane int, dst []uint16, unreached uint16) (uint32, e
 	return maxDepth, nil
 }
 
-// AggregateMTEPS is the batch throughput in millions of per-lane
-// equivalent edges per second — directly comparable to summing the
-// MTEPS of len(Sources) independent runs.
-func (r *Result) AggregateMTEPS() float64 {
-	s := r.Elapsed.Seconds()
-	if s <= 0 {
-		return 0
-	}
-	return float64(r.LaneEdges) / s / 1e6
-}
-
 // workerAcc is one scan worker's private accumulator.
 type workerAcc struct {
 	touched      []uint32 // vertices this worker first-discovered this level
@@ -144,15 +124,10 @@ type workerAcc struct {
 	_            [4]uint64 // pad against false sharing of the counters
 }
 
-// Run performs one multi-source sweep from sources (1..MaxLanes of
-// them; duplicates allowed — duplicate lanes produce identical arrays).
-// workers <= 0 means GOMAXPROCS.
-func Run(g *graph.Graph, sources []uint32, workers int) (*Result, error) {
-	return RunContext(context.Background(), g, sources, workers)
-}
-
-// RunContext is Run under a context, checked between levels: like the
-// single-source engine, cancellation aborts within one level and
+// RunContext performs one multi-source sweep from sources (1..MaxLanes
+// of them; duplicates allowed — duplicate lanes produce identical
+// arrays). workers <= 0 means GOMAXPROCS. ctx is checked between levels:
+// like the single-source engine, cancellation aborts within one level and
 // returns ctx.Err().
 func RunContext(ctx context.Context, g *graph.Graph, sources []uint32, workers int) (*Result, error) {
 	lanes := len(sources)

@@ -54,7 +54,7 @@ func TestFullBatchMatchesSerialRMAT(t *testing.T) {
 	for k := range sources {
 		sources[k] = uint32((k * 37) % g.NumVertices())
 	}
-	res, err := Run(g, sources, 0)
+	res, err := RunContext(context.Background(), g, sources, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestSmallBatchesAndShapes(t *testing.T) {
 		{"ur-dup", ur, []uint32{5, 5, 9}}, // duplicate sources share a lane mask
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			res, err := Run(tc.g, tc.sources, 0)
+			res, err := RunContext(context.Background(), tc.g, tc.sources, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -108,7 +108,7 @@ func TestStepsMatchEngineCounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(g, []uint32{0}, 2)
+	res, err := RunContext(context.Background(), g, []uint32{0}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,13 +119,13 @@ func TestStepsMatchEngineCounting(t *testing.T) {
 
 func TestBatchErrors(t *testing.T) {
 	g, _ := gen.UniformRandom(100, 4, 1)
-	if _, err := Run(g, nil, 0); err == nil {
+	if _, err := RunContext(context.Background(), g, nil, 0); err == nil {
 		t.Error("empty batch accepted")
 	}
-	if _, err := Run(g, make([]uint32, MaxLanes+1), 0); err == nil {
+	if _, err := RunContext(context.Background(), g, make([]uint32, MaxLanes+1), 0); err == nil {
 		t.Error("oversized batch accepted")
 	}
-	if _, err := Run(g, []uint32{100}, 0); err == nil {
+	if _, err := RunContext(context.Background(), g, []uint32{100}, 0); err == nil {
 		t.Error("out-of-range source accepted")
 	}
 }
@@ -145,7 +145,7 @@ func TestLaneEdgesEqualSumOfSerialRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	sources := []uint32{0, 3, 9, 27, 81}
-	res, err := Run(g, sources, 0)
+	res, err := RunContext(context.Background(), g, sources, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestDepthsInto(t *testing.T) {
 		t.Fatal(err)
 	}
 	sources := []uint32{0, 5, 100}
-	res, err := Run(g, sources, 0)
+	res, err := RunContext(context.Background(), g, sources, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,4 +206,13 @@ func TestDepthsInto(t *testing.T) {
 	if _, err := res.DepthsInto(0, dst, 1); !errors.Is(err, ErrDepthOverflow) {
 		t.Fatalf("unreached=1 on a multi-level BFS: got %v, want ErrDepthOverflow", err)
 	}
+}
+
+// Parent returns lane k's BFS parent of v, or -1 if unreached.
+func (r *Result) Parent(lane int, v uint32) int64 {
+	dp := r.DP[lane][v]
+	if dp == core.INF {
+		return -1
+	}
+	return int64(dp >> 32)
 }

@@ -6,8 +6,8 @@
 //
 //	Socket_Id(v) = v >> log2(|V_NS|),  |V_NS| = 2^ceil(log2(|V|/N_S)),
 //
-// and an accounting layer charges each access class as local or remote.
-// The measured local/remote fractions become the α parameters of the
+// and an accounting layer charges each access class to the socket that
+// homes it. The measured per-socket shares become the α parameters of the
 // analytical model (Eqns IV.3/IV.4), which carries the multi-socket
 // performance shape on hosts without real multi-socket hardware.
 package numa
@@ -121,16 +121,13 @@ func (s Structure) String() string {
 	return "?"
 }
 
-// Traffic accumulates bytes per (structure, home socket) and derived
-// local/remote splits. It is written by one goroutine at a time (the
-// engine aggregates per-worker counts between barriers), so it needs no
-// synchronization of its own.
+// Traffic accumulates bytes per (structure, home socket). It is written
+// by one goroutine at a time (the engine aggregates per-worker counts
+// between barriers), so it needs no synchronization of its own.
 type Traffic struct {
 	sockets int
 	// bySocket[s][st] = bytes of structure st whose home is socket s.
 	bySocket [][numStructures]int64
-	// local/remote split as charged by the accessing worker's socket.
-	local, remote [numStructures]int64
 }
 
 // NewTraffic returns a Traffic accountant for the given socket count.
@@ -138,15 +135,9 @@ func NewTraffic(sockets int) *Traffic {
 	return &Traffic{sockets: sockets, bySocket: make([][numStructures]int64, sockets)}
 }
 
-// Add charges bytes of structure st homed on homeSocket, accessed by a
-// worker on fromSocket.
-func (tr *Traffic) Add(st Structure, homeSocket, fromSocket int, bytes int64) {
+// Add charges bytes of structure st homed on homeSocket.
+func (tr *Traffic) Add(st Structure, homeSocket int, bytes int64) {
 	tr.bySocket[homeSocket][st] += bytes
-	if homeSocket == fromSocket {
-		tr.local[st] += bytes
-	} else {
-		tr.remote[st] += bytes
-	}
 }
 
 // Merge adds other into tr.
@@ -156,10 +147,6 @@ func (tr *Traffic) Merge(other *Traffic) {
 			tr.bySocket[s][st] += other.bySocket[s][st]
 		}
 	}
-	for st := 0; st < int(numStructures); st++ {
-		tr.local[st] += other.local[st]
-		tr.remote[st] += other.remote[st]
-	}
 }
 
 // Reset zeroes the accountant.
@@ -167,18 +154,16 @@ func (tr *Traffic) Reset() {
 	for s := range tr.bySocket {
 		tr.bySocket[s] = [numStructures]int64{}
 	}
-	tr.local = [numStructures]int64{}
-	tr.remote = [numStructures]int64{}
 }
 
 // Total returns total bytes charged to structure st.
-func (tr *Traffic) Total(st Structure) int64 { return tr.local[st] + tr.remote[st] }
-
-// Local returns locally served bytes of structure st.
-func (tr *Traffic) Local(st Structure) int64 { return tr.local[st] }
-
-// Remote returns cross-socket bytes of structure st.
-func (tr *Traffic) Remote(st Structure) int64 { return tr.remote[st] }
+func (tr *Traffic) Total(st Structure) int64 {
+	var t int64
+	for s := range tr.bySocket {
+		t += tr.bySocket[s][st]
+	}
+	return t
+}
 
 // Alpha returns the model's α for structure st: the maximum over sockets
 // of the fraction of st's bytes homed on that socket. With perfectly
@@ -196,16 +181,6 @@ func (tr *Traffic) Alpha(st Structure) float64 {
 		return 1 / float64(tr.sockets)
 	}
 	return float64(max) / float64(total)
-}
-
-// RemoteFraction returns the fraction of st's traffic that crossed
-// sockets.
-func (tr *Traffic) RemoteFraction(st Structure) float64 {
-	t := tr.Total(st)
-	if t == 0 {
-		return 0
-	}
-	return float64(tr.remote[st]) / float64(t)
 }
 
 // Structures lists all access classes, for iteration in reports.

@@ -122,17 +122,11 @@ func TestWorkersPartition(t *testing.T) {
 
 func TestTrafficAccounting(t *testing.T) {
 	tr := NewTraffic(2)
-	tr.Add(StructAdj, 0, 0, 100) // local
-	tr.Add(StructAdj, 1, 0, 50)  // remote
-	tr.Add(StructDP, 1, 1, 10)   // local
+	tr.Add(StructAdj, 0, 100)
+	tr.Add(StructAdj, 1, 50)
+	tr.Add(StructDP, 1, 10)
 	if tr.Total(StructAdj) != 150 {
 		t.Errorf("Total(Adj) = %d", tr.Total(StructAdj))
-	}
-	if tr.Local(StructAdj) != 100 || tr.Remote(StructAdj) != 50 {
-		t.Errorf("local/remote split wrong: %d/%d", tr.Local(StructAdj), tr.Remote(StructAdj))
-	}
-	if got := tr.RemoteFraction(StructAdj); got != 50.0/150 {
-		t.Errorf("RemoteFraction = %v", got)
 	}
 	// α: socket 0 served 100 of 150 Adj bytes.
 	if got := tr.Alpha(StructAdj); got != 100.0/150 {
@@ -146,14 +140,14 @@ func TestTrafficAccounting(t *testing.T) {
 
 func TestTrafficMergeReset(t *testing.T) {
 	a, b := NewTraffic(2), NewTraffic(2)
-	a.Add(StructVIS, 0, 1, 5)
-	b.Add(StructVIS, 1, 1, 7)
+	a.Add(StructVIS, 0, 5)
+	b.Add(StructVIS, 1, 7)
 	a.Merge(b)
 	if a.Total(StructVIS) != 12 {
 		t.Errorf("merged total = %d", a.Total(StructVIS))
 	}
-	if a.Remote(StructVIS) != 5 {
-		t.Errorf("merged remote = %d", a.Remote(StructVIS))
+	if got := a.Alpha(StructVIS); got != 7.0/12 {
+		t.Errorf("merged Alpha(VIS) = %v, want 7/12", got)
 	}
 	a.Reset()
 	if a.Total(StructVIS) != 0 || a.Alpha(StructVIS) != 0.5 {

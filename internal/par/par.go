@@ -166,9 +166,6 @@ func (b *Barrier) Reset() {
 	b.broken.Store(false)
 }
 
-// N returns the number of participants.
-func (b *Barrier) N() int { return int(b.n) }
-
 // PanicError reports a panic recovered from a pool worker, preserving the
 // worker id, the panic value and the goroutine stack at the panic site.
 type PanicError struct {

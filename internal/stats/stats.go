@@ -159,21 +159,6 @@ func Summarize(xs []float64) Summary {
 	return s
 }
 
-// GeoMean returns the geometric mean of positive values, 0 otherwise.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var logSum float64
-	for _, x := range xs {
-		if x <= 0 {
-			return 0
-		}
-		logSum += math.Log(x)
-	}
-	return math.Exp(logSum / float64(len(xs)))
-}
-
 // Ratio returns a/b, or 0 when b is 0.
 func Ratio(a, b float64) float64 {
 	if b == 0 {

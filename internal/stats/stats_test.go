@@ -100,18 +100,6 @@ func TestSummarizeProperty(t *testing.T) {
 	}
 }
 
-func TestGeoMean(t *testing.T) {
-	if g := GeoMean([]float64{2, 8}); g != 4 {
-		t.Errorf("GeoMean(2,8) = %v", g)
-	}
-	if g := GeoMean(nil); g != 0 {
-		t.Errorf("GeoMean(nil) = %v", g)
-	}
-	if g := GeoMean([]float64{1, -1}); g != 0 {
-		t.Errorf("GeoMean with negative = %v", g)
-	}
-}
-
 func TestRatio(t *testing.T) {
 	if Ratio(6, 3) != 2 {
 		t.Error("Ratio(6,3)")

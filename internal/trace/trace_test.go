@@ -75,8 +75,8 @@ func TestAlphaFallback(t *testing.T) {
 		t.Errorf("no-traffic Alpha = %v, want 0.5", got)
 	}
 	rt.Traffic = numa.NewTraffic(2)
-	rt.Traffic.Add(numa.StructAdj, 0, 0, 90)
-	rt.Traffic.Add(numa.StructAdj, 1, 0, 10)
+	rt.Traffic.Add(numa.StructAdj, 0, 90)
+	rt.Traffic.Add(numa.StructAdj, 1, 10)
 	if got := rt.Alpha(numa.StructAdj, 2); got != 0.9 {
 		t.Errorf("Alpha = %v, want 0.9", got)
 	}

@@ -63,7 +63,7 @@ func TestDetectsWrongParentDepth(t *testing.T) {
 	// Find a vertex at depth 2 and give it a depth-2 parent's depth.
 	for v := 0; v < g.NumVertices(); v++ {
 		if res.Depth(uint32(v)) == 2 {
-			p, _ := core.UnpackDP(res.DP[v])
+			p := uint32(res.DP[v] >> 32)
 			res.DP[v] = core.PackDP(p, 3) // now depth(parent)+1 != depth
 			break
 		}

@@ -63,15 +63,6 @@ func (g *Gen) Uint64() uint64 {
 	return result
 }
 
-// Split derives a new independent generator from this one, advancing the
-// parent. It is the cheap way to hand one stream to each worker.
-func (g *Gen) Split() *Gen {
-	return New(g.Uint64())
-}
-
-// Uint32 returns a uniform 32-bit value.
-func (g *Gen) Uint32() uint32 { return uint32(g.Uint64() >> 32) }
-
 // Intn returns a uniform value in [0, n). It panics if n <= 0.
 func (g *Gen) Intn(n int) int {
 	if n <= 0 {

@@ -28,15 +28,6 @@ func TestSeedsDiffer(t *testing.T) {
 	}
 }
 
-func TestSplitIndependence(t *testing.T) {
-	g := New(7)
-	a := g.Split()
-	b := g.Split()
-	if a.Uint64() == b.Uint64() {
-		t.Error("split streams start identically")
-	}
-}
-
 func TestUint64nProperty(t *testing.T) {
 	g := New(3)
 	f := func(n uint64) bool {

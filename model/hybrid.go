@@ -1,6 +1,10 @@
 package model
 
-import "fmt"
+import (
+	"fmt"
+
+	"fastbfs/internal/core"
+)
 
 // Direction-optimizing extension of the analytical model. A hybrid
 // traversal splits its levels into top-down ones (Eqns IV.1a–IV.1d
@@ -8,13 +12,6 @@ import "fmt"
 // follows the same Appendix-A accounting style below. The model also
 // replays the engine's α/β switch rule over a per-level profile, so the
 // switch level is predictable from a single instrumented top-down run.
-
-// Heuristic defaults, matching the engine (core.DefaultAlpha/Beta);
-// kept literal so model stays free of internal dependencies.
-const (
-	defaultAlpha = 15.0
-	defaultBeta  = 18.0
-)
 
 // BUWorkload aggregates the bottom-up levels of one hybrid traversal.
 type BUWorkload struct {
@@ -158,41 +155,35 @@ func PredictHybrid(p Platform, w Workload, b BUWorkload, sockets int) (HybridPre
 	return hp, nil
 }
 
-// PredictDirections replays the engine's α/β direction rule over a pure
-// TOP-DOWN per-level profile — frontier[l] vertices entering level l and
-// edges[l] adjacency entries examined there (both direction-independent:
-// the level sets are the same however a level is expanded, and edges[l+1]
-// equals the out-degree sum m_f of the frontier level l produces). The
-// returned slice marks each level the hybrid engine would run bottom-up.
-// alpha/beta <= 0 select the engine defaults. totalEdges is |E|.
+// PredictDirections replays the engine's α/β direction rule
+// (core.NextDirection) over a pure TOP-DOWN per-level profile —
+// frontier[l] vertices entering level l and edges[l] adjacency entries
+// examined there (both direction-independent: the level sets are the same
+// however a level is expanded, and edges[l+1] equals the out-degree sum
+// m_f of the frontier level l produces). The returned slice marks each
+// level the hybrid engine would run bottom-up. alpha/beta <= 0 select the
+// engine defaults. totalEdges is |E|.
 func PredictDirections(vertices, totalEdges int64, frontier, edges []int64, alpha, beta float64) []bool {
 	if alpha <= 0 {
-		alpha = defaultAlpha
+		alpha = core.DefaultAlpha
 	}
 	if beta <= 0 {
-		beta = defaultBeta
+		beta = core.DefaultBeta
 	}
 	mu := totalEdges
+	dir := core.DirTopDown
 	dirs := make([]bool, len(frontier))
-	bu := false
 	for l := range frontier {
-		dirs[l] = bu
+		dirs[l] = dir == core.DirBottomUp
 		var next, scout int64
 		if l+1 < len(frontier) {
 			next = frontier[l+1]
 			scout = edges[l+1]
 		}
-		if !bu {
-			mu -= edges[l]
-			if mu < 0 {
-				mu = 0
-			}
-			if next > 0 && float64(scout) > float64(mu)/alpha {
-				bu = true
-			}
-		} else if next < frontier[l] && float64(next) <= float64(vertices)/beta {
-			bu = false
-		}
+		dir, mu = core.NextDirection(core.Level{
+			Dir: dir, Mu: mu, Examined: edges[l],
+			Awake: frontier[l], Next: next, Scout: scout,
+		}, vertices, alpha, beta)
 	}
 	return dirs
 }

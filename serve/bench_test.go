@@ -44,11 +44,11 @@ func BenchmarkBatch64Sweep(b *testing.B) {
 	var agg float64
 	var edges int64
 	for i := 0; i < b.N; i++ {
-		res, err := msbfs.Run(g, srcs, 0)
+		res, err := msbfs.RunContext(context.Background(), g, srcs, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
-		agg += res.AggregateMTEPS()
+		agg += float64(res.LaneEdges) / res.Elapsed.Seconds() / 1e6
 		edges += res.LaneEdges
 	}
 	b.ReportMetric(agg/float64(b.N), "aggMTEPS")

@@ -17,6 +17,17 @@ import (
 	"fastbfs/internal/faultinject"
 )
 
+// The soak's client-side sites: its clients decide them themselves, and
+// serve never consults them.
+const (
+	// siteClientDrop: a firing client abandons its query mid-wait,
+	// simulating a disconnecting or timing-out caller.
+	siteClientDrop faultinject.Site = "client.drop"
+	// siteClientStall: a firing client sleeps before reading its
+	// response, simulating a slow consumer.
+	siteClientStall faultinject.Site = "client.stall"
+)
+
 // envInt reads an integer knob from the environment (the CI chaos-smoke
 // job scales the soak up without recompiling).
 func envInt(name string, def int) int {
@@ -69,8 +80,8 @@ func TestChaosSoak(t *testing.T) {
 			faultinject.SiteEngineStep: {FaultProb: 0.002, Panic: true, DelayProb: 0.02, MaxDelay: 200 * time.Microsecond},
 			faultinject.SiteAcquire:    {FaultProb: 0.02, Err: bfs.ErrEngineBusy, DelayProb: 0.05, MaxDelay: 100 * time.Microsecond},
 			faultinject.SiteSweep:      {FaultProb: 0.01, Panic: true, DelayProb: 0.05, MaxDelay: 200 * time.Microsecond},
-			faultinject.SiteClientDrop: {FaultProb: 0.02, Err: faultinject.ErrInjected},
-			faultinject.SiteClientStall: {DelayProb: 0.02, MaxDelay: 2 * time.Millisecond,
+			siteClientDrop:             {FaultProb: 0.02, Err: faultinject.ErrInjected},
+			siteClientStall: {DelayProb: 0.02, MaxDelay: 2 * time.Millisecond,
 				FaultProb: 0, Err: nil},
 		},
 	}
@@ -116,8 +127,8 @@ func TestChaosSoak(t *testing.T) {
 				timeout := 5 * time.Second
 				// A "dropped" client gives up almost immediately,
 				// abandoning its flight mid-queue or mid-run.
-				drop := faultinject.Decide(plan, faultinject.SiteClientDrop,
-					clientSeq.Next(faultinject.SiteClientDrop))
+				drop := faultinject.Decide(plan, siteClientDrop,
+					clientSeq.Next(siteClientDrop))
 				if drop.Err != nil {
 					timeout = time.Duration(1+q%3) * time.Millisecond
 				}
@@ -136,8 +147,8 @@ func TestChaosSoak(t *testing.T) {
 				}
 				// A "stalled" client reads its response slowly; the result
 				// it finally reads must still be exact.
-				stall := faultinject.Decide(plan, faultinject.SiteClientStall,
-					clientSeq.Next(faultinject.SiteClientStall))
+				stall := faultinject.Decide(plan, siteClientStall,
+					clientSeq.Next(siteClientStall))
 				if stall.Delay > 0 {
 					time.Sleep(stall.Delay)
 				}

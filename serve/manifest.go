@@ -591,13 +591,6 @@ func (m *Manifest) Degraded() (bool, string) {
 	return m.degraded, m.degReason
 }
 
-// Compact forces snapshot compaction now (tests and ops tooling).
-func (m *Manifest) Compact() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.compactLocked()
-}
-
 // compactLocked writes the current graph set as a snapshot covering
 // m.seq, then truncates the journal. Ordering is what makes a crash at
 // any point here safe: the snapshot is durable (tmp, fsync, rename,
@@ -635,14 +628,6 @@ func (m *Manifest) compactLocked() error {
 	m.snapAt = snap.Taken
 	m.records = 0
 	return nil
-}
-
-// CompactionErr reports the last background compaction failure, if any
-// (appends stay durable regardless).
-func (m *Manifest) CompactionErr() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.compactE
 }
 
 // Close releases the journal file handle. Appended records are already

@@ -82,10 +82,3 @@ func (p *EnginePool) Release(e *bfs.Engine) {
 
 // Size is the pool capacity.
 func (p *EnginePool) Size() int { return p.size }
-
-// Created reports how many engines exist (idle or checked out).
-func (p *EnginePool) Created() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.created
-}

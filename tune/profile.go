@@ -119,18 +119,6 @@ func (p *Profile) Apply(base bfs.Options) bfs.Options {
 	return o
 }
 
-// IsDefault reports whether the profile's knobs equal the engine
-// defaults (whatever its provenance says about how they were chosen).
-func (p *Profile) IsDefault() bool {
-	if p == nil {
-		return true
-	}
-	d := Defaults()
-	return p.Hybrid == d.Hybrid && p.Alpha == d.Alpha && p.Beta == d.Beta &&
-		p.VIS == d.VIS && p.PrefetchDist == d.PrefetchDist &&
-		p.BatchBinning == d.BatchBinning && p.BatchWidth == d.BatchWidth
-}
-
 // Summary renders the chosen knobs in one log-friendly line.
 func (p *Profile) Summary() string {
 	if p == nil {
@@ -155,23 +143,6 @@ func (p *Profile) Summary() string {
 		s += fmt.Sprintf(" predicted=%.0fMTEPS", p.PredictedMTEPS)
 	}
 	return s
-}
-
-// VISKindName returns the stable profile name of a bfs VIS kind.
-func VISKindName(k bfs.VISKind) string {
-	switch k {
-	case bfs.VISNone:
-		return VISNameNone
-	case bfs.VISAtomicBit:
-		return VISNameAtomicBit
-	case bfs.VISByte:
-		return VISNameByte
-	case bfs.VISBit:
-		return VISNameBit
-	case bfs.VISPartitioned:
-		return VISNamePartitioned
-	}
-	return ""
 }
 
 // VISKindFromName parses a profile VIS name; unknown names report false

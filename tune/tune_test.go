@@ -158,17 +158,19 @@ func TestApplyPreservesIdentityFields(t *testing.T) {
 	}
 }
 
-// TestVISNameMapping pins the name<->kind bijection.
+// TestVISNameMapping pins the name->kind mapping: every profile name
+// parses to its own kind, and unknown names are refused.
 func TestVISNameMapping(t *testing.T) {
-	for _, k := range []bfs.VISKind{bfs.VISNone, bfs.VISAtomicBit, bfs.VISByte, bfs.VISBit, bfs.VISPartitioned} {
-		name := VISKindName(k)
-		if name == "" {
-			t.Fatalf("no name for kind %v", k)
+	seen := make(map[bfs.VISKind]string)
+	for _, name := range []string{VISNameNone, VISNameAtomicBit, VISNameByte, VISNameBit, VISNamePartitioned} {
+		k, ok := VISKindFromName(name)
+		if !ok {
+			t.Fatalf("profile name %q not parsed", name)
 		}
-		back, ok := VISKindFromName(name)
-		if !ok || back != k {
-			t.Errorf("VIS mapping not a bijection: %v -> %q -> %v (%v)", k, name, back, ok)
+		if prev, dup := seen[k]; dup {
+			t.Errorf("names %q and %q both parse to kind %v", prev, name, k)
 		}
+		seen[k] = name
 	}
 	if _, ok := VISKindFromName("nope"); ok {
 		t.Error("unknown VIS name parsed")
