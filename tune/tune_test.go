@@ -161,16 +161,21 @@ func TestApplyPreservesIdentityFields(t *testing.T) {
 // TestVISNameMapping pins the name->kind mapping: every profile name
 // parses to its own kind, and unknown names are refused.
 func TestVISNameMapping(t *testing.T) {
-	seen := make(map[bfs.VISKind]string)
-	for _, name := range []string{VISNameNone, VISNameAtomicBit, VISNameByte, VISNameBit, VISNamePartitioned} {
+	want := map[string]bfs.VISKind{
+		VISNameNone:        bfs.VISNone,
+		VISNameAtomicBit:   bfs.VISAtomicBit,
+		VISNameByte:        bfs.VISByte,
+		VISNameBit:         bfs.VISBit,
+		VISNamePartitioned: bfs.VISPartitioned,
+	}
+	for name, kind := range want {
 		k, ok := VISKindFromName(name)
 		if !ok {
 			t.Fatalf("profile name %q not parsed", name)
 		}
-		if prev, dup := seen[k]; dup {
-			t.Errorf("names %q and %q both parse to kind %v", prev, name, k)
+		if k != kind {
+			t.Errorf("VISKindFromName(%q) = %v, want %v", name, k, kind)
 		}
-		seen[k] = name
 	}
 	if _, ok := VISKindFromName("nope"); ok {
 		t.Error("unknown VIS name parsed")
