@@ -171,15 +171,16 @@ type Options struct {
 }
 
 // Default returns the paper's best configuration for the given simulated
-// socket count.
+// socket count: the knobs core.DefaultConfig sets.
 func Default(sockets int) Options {
+	c := core.DefaultConfig(sockets)
 	return Options{
-		Sockets:      sockets,
-		VIS:          VISPartitioned,
-		Scheme:       SchemeLoadBalanced,
-		Rearrange:    true,
-		BatchBinning: true,
-		PrefetchDist: 8,
+		Sockets:      c.Sockets,
+		VIS:          c.VIS,
+		Scheme:       c.Scheme,
+		Rearrange:    c.Rearrange,
+		BatchBinning: c.BatchBinning,
+		PrefetchDist: c.PrefetchDist,
 	}
 }
 

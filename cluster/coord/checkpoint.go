@@ -5,8 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"os"
 	"path/filepath"
+
+	"fastbfs/internal/durable"
 )
 
 // Checkpoint is a full snapshot of a shard's round state: everything
@@ -72,14 +73,7 @@ func SaveCheckpoint(dir string, c *Checkpoint) error {
 	buf = append(buf, c.Resp...)
 	buf = appendCRC(buf, 0)
 
-	tmp := checkpointPath(dir) + ".tmp"
-	if err := writeFileSync(tmp, buf); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, checkpointPath(dir)); err != nil {
-		return err
-	}
-	return syncDir(dir)
+	return durable.WriteFile(checkpointPath(dir), buf)
 }
 
 // decodeCheckpoint parses a FBFSCKP1 or FBFSCKP2 snapshot.
@@ -252,35 +246,4 @@ func claimable(depth []int32, offs []byte) bool {
 		prev = off
 	}
 	return true
-}
-
-// writeFileSync writes data to path and fsyncs before closing, so the
-// bytes are durable before the caller renames the file into place.
-func writeFileSync(path string, data []byte) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// syncDir fsyncs a directory so a just-renamed entry is durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }

@@ -413,6 +413,89 @@ func TestJournalApplyStaleAndGarbage(t *testing.T) {
 	}
 }
 
+// TestJournalFailedAppendNotFolded: a record whose write fails joins
+// neither the state nor a mirror push, and a reopen agrees: the journal
+// acknowledges only what it can recover.
+func TestJournalFailedAppendNotFolded(t *testing.T) {
+	dir := t.TempDir()
+	j, err := OpenJournal(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.AppendLease(&Lease{Token: 1, Holder: "http://a"}); err != nil {
+		t.Fatal(err)
+	}
+	mirrored := 0
+	j.Mirror = func() { mirrored++ }
+	j.log.Close() // every later write fails
+	if err := j.AppendLease(&Lease{Token: 2, Holder: "http://a"}); err == nil {
+		t.Fatal("append to a closed log file succeeded")
+	}
+	if st := j.State(); st.Lease.Token != 1 || mirrored != 0 {
+		t.Fatalf("failed append left token %d in the state and pushed %d mirror updates", st.Lease.Token, mirrored)
+	}
+	j2, err := OpenJournal(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	if st := j2.State(); st.Lease.Token != 1 {
+		t.Fatalf("reopen found token %d", st.Lease.Token)
+	}
+}
+
+// TestJournalCompactionFailureKeepsRecord: a compaction that fails does not
+// fail the append whose record is already durable; the next append past
+// the threshold retries it.
+func TestJournalCompactionFailureKeepsRecord(t *testing.T) {
+	dir := t.TempDir()
+	// A directory where the snapshot's temp file goes fails every
+	// compaction until it is removed.
+	blocker := filepath.Join(dir, journalSnapName+".tmp")
+	if err := os.Mkdir(blocker, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	j, err := OpenJournal(dir, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for tok := uint64(1); tok <= 3; tok++ {
+		if err := j.AppendLease(&Lease{Token: tok, Holder: "http://a"}); err != nil {
+			t.Fatalf("append of token %d with compaction failing: %v", tok, err)
+		}
+	}
+	if st := j.State(); st.Lease.Token != 3 {
+		t.Fatalf("state holds token %d, want 3", st.Lease.Token)
+	}
+	if _, err := os.Stat(filepath.Join(dir, journalSnapName)); err == nil {
+		t.Fatal("a snapshot appeared while compaction was failing")
+	}
+	if err := os.Remove(blocker); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.AppendLease(&Lease{Token: 4, Holder: "http://a"}); err != nil {
+		t.Fatal(err)
+	}
+	fi, err := os.Stat(filepath.Join(dir, journalLogName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi.Size() != int64(len(journalMagic)) {
+		t.Fatalf("log is %d bytes after the retried compaction, want magic only", fi.Size())
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	j2, err := OpenJournal(dir, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	if st := j2.State(); st.Lease.Token != 4 {
+		t.Fatalf("reopen found token %d, want 4", st.Lease.Token)
+	}
+}
+
 // --- Replica groups: failover and fencing ----------------------------
 
 // failFast shortens tc's recovery budget, so a killed replica is

@@ -7,16 +7,18 @@
 //	state.log   append-only journal of framed HA records
 //	state.snap  snapshot of the current state at some compaction point
 //
-// Every append is written and fsync'd before the caller proceeds, so a
-// journaled round or lease survives any later crash. A crash mid-append
-// leaves a torn tail: on open the log is scanned frame by frame and
-// truncated at the first frame that is short, oversized, or fails its
-// record's CRC — recovery keeps the longest valid prefix and NEVER
-// refuses to boot (TornBytes reports what was dropped). After
+// Every append is written and fsync'd before the caller proceeds, and a
+// record joins the state only once it is durable, so a journaled round or
+// lease survives any later crash and a failed append leaves no trace. A
+// crash mid-append leaves a torn tail: on open the log is scanned frame
+// by frame and truncated at the first frame that is short, oversized, or
+// fails its record's CRC — recovery keeps the longest valid prefix and
+// NEVER refuses to boot (TornBytes reports what was dropped). After
 // SnapshotEvery appends the current state is compacted into state.snap
 // (tmp + fsync + rename + dir fsync, then the log is truncated); a
 // corrupt snapshot is ignored, since the log retains everything since
-// the last successful compaction.
+// the last successful compaction. The file mechanics are
+// internal/durable's; this file owns the codec and the fold.
 //
 // Records fold into the state monotonically — lease tokens never
 // regress, epoch state only advances — so the same code path absorbs
@@ -28,9 +30,12 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"log"
 	"os"
 	"path/filepath"
 	"sync"
+
+	"fastbfs/internal/durable"
 )
 
 const (
@@ -62,7 +67,7 @@ type JournalState struct {
 type Journal struct {
 	mu      sync.Mutex
 	dir     string
-	f       *os.File
+	log     *durable.Log // state.log; nil once closed
 	every   int
 	records int
 	state   JournalState
@@ -77,14 +82,15 @@ type Journal struct {
 	// active coordinator's hook for pushing its state to its standby. It
 	// runs under the journal lock and must not block.
 	Mirror func()
-
-	countedRecords int // valid records folded during replayLog
 }
 
 // errStaleRecord marks a record the monotone fold refused: an older
 // lease token or an earlier epoch state. Journal.Apply skips these
 // silently; direct appends surface them.
 var errStaleRecord = errors.New("coord: journal record is stale")
+
+// errJournalClosed refuses an append after Close.
+var errJournalClosed = errors.New("coord: journal closed")
 
 // OpenJournal opens (creating if needed) the coordinator journal in
 // dir, replaying state.snap and then state.log. snapshotEvery <= 0 gets
@@ -108,73 +114,30 @@ func OpenJournal(dir string, snapshotEvery int) (*Journal, error) {
 		return nil, err
 	}
 
-	path := filepath.Join(dir, journalLogName)
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	l, torn, err := durable.Open(filepath.Join(dir, journalLogName), journalMagic, j.replay)
 	if err != nil {
 		return nil, err
 	}
-	j.f = f
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	if len(raw) == 0 {
-		if err := j.reset(); err != nil {
-			f.Close()
-			return nil, err
-		}
-		return j, nil
-	}
-	if len(raw) < len(journalMagic) || string(raw[:len(journalMagic)]) != journalMagic {
-		// Not our log at all: keep the snapshot's state, start the log
-		// over. Refusing to boot would make one bad byte fatal.
-		j.TornBytes = int64(len(raw))
-		if err := j.reset(); err != nil {
-			f.Close()
-			return nil, err
-		}
-		return j, nil
-	}
-	consumed := j.replayLog(raw[len(journalMagic):]) + int64(len(journalMagic))
-	if consumed < int64(len(raw)) {
-		j.TornBytes = int64(len(raw)) - consumed
-		if err := f.Truncate(consumed); err != nil {
-			f.Close()
-			return nil, err
-		}
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return nil, err
-		}
-	}
-	j.records = j.countedRecords
-	if _, err := f.Seek(0, 2); err != nil {
-		f.Close()
-		return nil, err
-	}
+	j.log, j.TornBytes = l, torn
 	return j, nil
 }
 
-// replayLog folds valid frames from b (the log body past the magic)
-// into the state, returning the byte count of the valid prefix.
-func (j *Journal) replayLog(b []byte) int64 {
-	var consumed int64
-	j.countedRecords = 0
-	for len(b) >= 4 {
-		n := le32(b)
-		if n > maxJournalFrame || uint64(n)+4 > uint64(len(b)) {
+// replay folds the valid frames of body (the log past its magic) into the
+// state, counting them, and returns the byte length of the valid prefix.
+func (j *Journal) replay(body []byte) int {
+	valid := 0
+	for rest := body; len(rest) >= 4; rest = body[valid:] {
+		n := le32(rest)
+		if n > maxJournalFrame || uint64(n)+4 > uint64(len(rest)) {
 			break
 		}
-		rec := b[4 : 4+n]
-		if _, err := j.fold(rec); err != nil {
+		if err := j.state.fold(rest[4 : 4+n]); err != nil {
 			break
 		}
-		consumed += int64(4 + n)
-		j.countedRecords++
-		b = b[4+n:]
+		valid += 4 + int(n)
+		j.records++
 	}
-	return consumed
+	return valid
 }
 
 func le32(b []byte) uint32 {
@@ -192,72 +155,55 @@ func (j *Journal) applyFrames(b []byte, magic string) error {
 		return err
 	}
 	for _, rec := range frames {
-		if _, err := j.fold(rec); err != nil && !errors.Is(err, errStaleRecord) {
+		if err := j.state.fold(rec); err != nil && !errors.Is(err, errStaleRecord) {
 			return err
 		}
 	}
 	return nil
 }
 
-// fold decodes one record by its magic and merges it into the state
+// fold decodes one record by its magic and merges it into st
 // monotonically. Stale records (older lease token, earlier epoch state)
-// return errStaleRecord; garbage returns ErrWire.
-func (j *Journal) fold(rec []byte) (any, error) {
+// return errStaleRecord; garbage returns ErrWire. Either way st is
+// unchanged.
+func (st *JournalState) fold(rec []byte) error {
 	if len(rec) < 8 {
-		return nil, fmt.Errorf("%w: %d-byte journal record", ErrWire, len(rec))
+		return fmt.Errorf("%w: %d-byte journal record", ErrWire, len(rec))
 	}
 	switch string(rec[:8]) {
 	case leaseMagic:
 		l, err := DecodeLease(rec)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		if cur := j.state.Lease; cur != nil && l.Token < cur.Token {
-			return nil, errStaleRecord
+		if cur := st.Lease; cur != nil && l.Token < cur.Token {
+			return errStaleRecord
 		}
-		j.state.Lease = l
-		return l, nil
+		st.Lease = l
 	case assignmentMagic:
 		a, err := DecodeGroupAssignment(rec)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		j.state.Assignment = a
-		return a, nil
+		st.Assignment = a
 	case epochMagic:
 		e, err := DecodeEpochState(rec)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		if cur := j.state.Epoch; cur != nil {
+		if cur := st.Epoch; cur != nil {
 			if e.Epoch < cur.Epoch {
-				return nil, errStaleRecord
+				return errStaleRecord
 			}
 			if e.Epoch == cur.Epoch && !e.Done && (cur.Done || e.Round < cur.Round) {
-				return nil, errStaleRecord
+				return errStaleRecord
 			}
 		}
-		j.state.Epoch = e
-		return e, nil
+		st.Epoch = e
 	default:
-		return nil, fmt.Errorf("%w: unknown journal record magic %q", ErrWire, rec[:8])
+		return fmt.Errorf("%w: unknown journal record magic %q", ErrWire, rec[:8])
 	}
-}
-
-// reset rewrites the log as empty (magic only).
-func (j *Journal) reset() error {
-	if err := j.f.Truncate(0); err != nil {
-		return err
-	}
-	if _, err := j.f.WriteAt([]byte(journalMagic), 0); err != nil {
-		return err
-	}
-	if err := j.f.Sync(); err != nil {
-		return err
-	}
-	_, err := j.f.Seek(0, 2)
-	j.records = 0
-	return err
+	return nil
 }
 
 // State returns the journal's current accumulated state.
@@ -291,28 +237,33 @@ func (j *Journal) Apply(rec []byte) (applied bool, err error) {
 	return err == nil, err
 }
 
-// append folds rec into the state and, if it was news, frames, writes
-// and fsyncs it before returning.
+// append journals rec if it is news: it folds rec into a copy of the
+// state, frames, writes and fsyncs it, and only then adopts the copy, so
+// a failed write leaves the state, the mirror and the next snapshot
+// exactly as a reopen would find them.
 func (j *Journal) append(rec []byte) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if _, err := j.fold(rec); err != nil {
+	if j.log == nil {
+		return errJournalClosed
+	}
+	next := j.state
+	if err := next.fold(rec); err != nil {
 		return err
 	}
-	frame := AppendFrame(make([]byte, 0, 4+len(rec)), rec)
-	if _, err := j.f.Write(frame); err != nil {
+	if err := j.log.Append(AppendFrame(make([]byte, 0, 4+len(rec)), rec)); err != nil {
 		return err
 	}
-	if err := j.f.Sync(); err != nil {
-		return err
-	}
+	j.state = next
 	j.records++
 	if j.Mirror != nil {
 		j.Mirror()
 	}
 	if j.records >= j.every {
+		// The record is durable whatever compaction does: a failure is
+		// logged, and the next append retries it.
 		if err := j.compact(); err != nil {
-			return fmt.Errorf("coord: journal compaction: %w", err)
+			log.Printf("coord: journal compaction failed, the log keeps growing: %v", err)
 		}
 	}
 	return nil
@@ -333,30 +284,25 @@ func (j *Journal) compact() error {
 	if j.state.Epoch != nil {
 		snap = AppendFrame(snap, j.state.Epoch.Encode())
 	}
-	tmp := filepath.Join(j.dir, journalSnapName+".tmp")
-	if err := writeFileSync(tmp, snap); err != nil {
+	if err := durable.WriteFile(filepath.Join(j.dir, journalSnapName), snap); err != nil {
 		return err
 	}
-	if err := os.Rename(tmp, filepath.Join(j.dir, journalSnapName)); err != nil {
+	if err := j.log.Reset(); err != nil {
 		return err
 	}
-	if err := syncDir(j.dir); err != nil {
-		return err
-	}
-	return j.reset()
+	j.records = 0
+	return nil
 }
 
-// Close flushes and closes the journal file.
+// Close closes the journal file; every appended record is already
+// durable.
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.f == nil {
+	if j.log == nil {
 		return nil
 	}
-	err := j.f.Sync()
-	if cerr := j.f.Close(); err == nil {
-		err = cerr
-	}
-	j.f = nil
+	err := j.log.Close()
+	j.log = nil
 	return err
 }

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"fastbfs/graph"
+	"fastbfs/internal/durable"
 	"fastbfs/internal/faultinject"
 )
 
@@ -59,10 +60,9 @@ type Shard struct {
 	fence  uint64 // highest fencing token admitted
 	resets uint64 // round-0 epoch resets observed (fresh epochs + restarts)
 
-	// The open round log and its length. nil means the next durable round
-	// writes the whole log afresh.
-	log     *os.File
-	logSize int64
+	// The open round log. nil means the next durable round writes the
+	// whole log afresh.
+	log *durable.Log
 
 	// Per-round scratch, reused across rounds.
 	claimed []uint32    // offsets claimed this round, ascending
@@ -135,44 +135,52 @@ func NewReplicaShard(g *graph.Graph, id, replica, shards int, ckptDir string, in
 // restore loads the shard's state from its checkpoint dir: a round log,
 // or a snapshot written by SaveCheckpoint, which the next round rewrites
 // as a round log. A missing file is a fresh start, and so is a corrupt
-// one or one for another partition.
+// one or one for another partition. A round log's torn tail is cut off
+// and appends continue after its valid prefix; any other file is left
+// as it is until the next round replaces it.
 func (s *Shard) restore() error {
 	path := checkpointPath(s.dir)
-	b, err := os.ReadFile(path)
-	if errors.Is(err, fs.ErrNotExist) {
+	if _, err := os.Stat(path); errors.Is(err, fs.ErrNotExist) {
 		return nil
 	}
+	var (
+		rl   *roundLog
+		snap *Checkpoint
+		bad  error
+	)
+	l, _, err := durable.Open(path, "", func(b []byte) int {
+		if !bytes.HasPrefix(b, []byte(roundLogMagic)) {
+			snap, bad = decodeCheckpoint(b)
+			if bad == nil && (snap.Lo != s.lo || snap.Hi != s.hi) {
+				bad = fmt.Errorf("%w: snapshot covers [%d,%d), partition is [%d,%d)", ErrCheckpoint, snap.Lo, snap.Hi, s.lo, s.hi)
+			}
+			return len(b)
+		}
+		if rl, bad = loadRoundLog(b, s.lo, s.hi); bad != nil {
+			return len(b)
+		}
+		return rl.size
+	})
 	if err != nil {
 		return err
 	}
-	if !bytes.HasPrefix(b, []byte(roundLogMagic)) {
-		c, err := decodeCheckpoint(b)
-		if err == nil && (c.Lo != s.lo || c.Hi != s.hi) {
-			err = fmt.Errorf("%w: snapshot covers [%d,%d), partition is [%d,%d)", ErrCheckpoint, c.Lo, c.Hi, s.lo, s.hi)
-		}
-		if err != nil {
-			log.Printf("shard %d: discarding checkpoint: %v", s.id, err)
-			return nil
-		}
-		s.epoch, s.next, s.fence, s.depth, s.resp = c.Epoch, c.Round, c.Fence, c.Depth, c.Resp
+	if bad != nil || rl == nil {
+		l.Close()
+	}
+	switch {
+	case bad != nil:
+		log.Printf("shard %d: discarding checkpoint: %v", s.id, bad)
+	case rl == nil:
+		s.epoch, s.next, s.fence, s.depth, s.resp = snap.Epoch, snap.Round, snap.Fence, snap.Depth, snap.Resp
 		log.Printf("shard %d: restored snapshot epoch %d round %d fence %d", s.id, s.epoch, s.next, s.fence)
-		return nil
+	default:
+		s.log = l
+		s.epoch, s.next, s.fence, s.depth = rl.epoch, rl.next, rl.fence, rl.depth
+		if s.next > 0 {
+			s.resp = s.expand(s.epoch, s.next-1, rl.last)
+		}
+		log.Printf("shard %d: restored round log epoch %d round %d fence %d", s.id, s.epoch, s.next, s.fence)
 	}
-	rl, err := loadRoundLog(b, s.lo, s.hi)
-	if err != nil {
-		log.Printf("shard %d: discarding checkpoint: %v", s.id, err)
-		return nil
-	}
-	s.epoch, s.next, s.fence, s.depth = rl.epoch, rl.next, rl.fence, rl.depth
-	if s.next > 0 {
-		s.resp = s.expand(s.epoch, s.next-1, rl.last)
-	}
-	// Appends continue after the valid prefix, cutting off a torn tail. If
-	// the file cannot be reopened, the next round rewrites it whole.
-	if err := s.openLog(int64(rl.size)); err != nil {
-		log.Printf("shard %d: reopening round log: %v", s.id, err)
-	}
-	log.Printf("shard %d: restored round log epoch %d round %d fence %d", s.id, s.epoch, s.next, s.fence)
 	return nil
 }
 
@@ -411,17 +419,14 @@ func (s *Shard) persist(round uint32) error {
 		return s.rewriteLog(fault)
 	}
 	if fault == nil {
-		_, fault = s.log.WriteAt(s.rec, s.logSize)
-	}
-	if fault == nil {
-		fault = s.log.Sync()
+		fault = s.log.Append(s.rec)
 	}
 	if fault != nil {
-		// What reached the file is unknown: the next round rewrites it.
+		// The log rolled back to its last durable round if it could; the
+		// next round rewrites it whole either way.
 		s.closeLog()
 		return fault
 	}
-	s.logSize += int64(len(s.rec))
 	return nil
 }
 
@@ -443,36 +448,11 @@ func (s *Shard) rewriteLog(fault error) error {
 		}
 	}
 	img = append(img, s.rec...)
-
-	path := checkpointPath(s.dir)
-	err := writeFileSync(path+".tmp", img)
-	if err == nil {
-		err = fault
-	}
-	if err == nil {
-		err = os.Rename(path+".tmp", path)
-	}
-	if err == nil {
-		err = syncDir(s.dir)
-	}
+	l, err := durable.Create(checkpointPath(s.dir), img, fault)
 	if err != nil {
 		return err
 	}
-	return s.openLog(int64(len(img)))
-}
-
-// openLog opens the round log for appends after its first size bytes,
-// cutting off anything beyond them.
-func (s *Shard) openLog(size int64) error {
-	f, err := os.OpenFile(checkpointPath(s.dir), os.O_WRONLY, 0)
-	if err != nil {
-		return err
-	}
-	if err := f.Truncate(size); err != nil {
-		f.Close()
-		return err
-	}
-	s.log, s.logSize = f, size
+	s.log = l
 	return nil
 }
 

@@ -11,8 +11,10 @@ import (
 	"os"
 	"path/filepath"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -35,7 +37,6 @@ var deadExportAllowlist = map[string]string{
 	// Test APIs that tests of other packages call, so they cannot move
 	// into an export_test.go file.
 	"bfs.InAdjacencyCached":                "the transpose-lifecycle regression hook serve's durability tests read",
-	"internal/core.DefaultConfig":          "the engine fixture of model's direction-replay test and validate's tests",
 	"internal/core.Engine.Run":             "the background-context run model's direction-replay test and validate's tests call",
 	"internal/faultinject.Plan.SetEnabled": "serve's chaos soak and coord's shard drills switch their plan off to read quiesced state",
 	"internal/stats.Table.NumRows":         "the row count experiments' table-shape tests check",
@@ -50,11 +51,7 @@ var deadExportAllowlist = map[string]string{
 // protocol. To keep a dead export, add it to deadExportAllowlist with a
 // one-line reason.
 func TestDeadExports(t *testing.T) {
-	// The parsed standard library is garbage the moment it is checked; a
-	// heap goal four times the live set cuts the census's CPU time by
-	// about a third for about 150 MB of peak heap.
-	defer debug.SetGCPercent(debug.SetGCPercent(400))
-	c, err := newCensus(".")
+	c, err := loadCensus()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +77,42 @@ func TestDeadExports(t *testing.T) {
 	}
 }
 
+// durableOnly lists the calls that make a file durable or replace it.
+// Outside internal/durable, code goes through its Log, WriteFile and
+// Create instead, so the crash-safety discipline has one copy.
+var durableOnly = []string{"(*os.File).Sync", "(*os.File).Truncate", "os.Rename"}
+
+// TestDurableCallsConfined fails when a non-test file of the module outside
+// internal/durable references one of durableOnly. It reads the census's
+// type-checked packages, so it costs no second load.
+func TestDurableCallsConfined(t *testing.T) {
+	c, err := loadCensus()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range c.order {
+		if p.rel == "internal/durable" || p.rel == "benchmark" || strings.HasPrefix(p.rel, "benchmark/") {
+			continue
+		}
+		for id, obj := range p.uses {
+			if fn, ok := obj.(*types.Func); ok && slices.Contains(durableOnly, fn.FullName()) {
+				t.Errorf("%s: %s outside internal/durable; use durable.Log, WriteFile or Create", c.fset.Position(id.Pos()), fn.FullName())
+			}
+		}
+	}
+}
+
 const modulePath = "fastbfs"
+
+// loadCensus type-checks the module and the benchmark module once per
+// test binary; every census test shares the result.
+var loadCensus = sync.OnceValues(func() (*census, error) {
+	// The parsed standard library is garbage the moment it is checked; a
+	// heap goal four times the live set cuts the census's CPU time by
+	// about a third for about 150 MB of peak heap.
+	defer debug.SetGCPercent(debug.SetGCPercent(400))
+	return newCensus(".")
+})
 
 // census holds the type-checked non-test packages of the module and of the
 // benchmark module, fastbfs/benchmark, which lives in the benchmark/

@@ -6,8 +6,9 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
-	"path/filepath"
 	"unsafe"
+
+	"fastbfs/internal/durable"
 )
 
 // hostLittleEndian reports whether multi-byte integers can alias the
@@ -423,43 +424,13 @@ func decode(data []byte, alias bool) (*Index, error) {
 	return ix, nil
 }
 
-// Save writes the artifact atomically: temp file in the destination
-// directory, fsync, rename, directory fsync. A crash mid-save leaves
-// at worst a *.tmp orphan, never a torn file under the final name —
-// the invariant the manifest journal relies on when it records a build
-// as durable.
+// Save writes the artifact atomically (durable.WriteFile: temp file,
+// fsync, rename, directory fsync). A crash mid-save leaves at worst a
+// .tmp orphan, never a torn file under the final name — the invariant
+// the manifest journal relies on when it records a build as durable.
 func (ix *Index) Save(path string) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("index: creating temp artifact: %w", err)
-	}
-	tmpName := tmp.Name()
-	defer func() {
-		if tmp != nil {
-			tmp.Close()
-			os.Remove(tmpName)
-		}
-	}()
-	if _, err := tmp.Write(ix.Encode()); err != nil {
-		return fmt.Errorf("index: writing artifact: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		return fmt.Errorf("index: syncing artifact: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		tmp = nil
-		os.Remove(tmpName)
-		return fmt.Errorf("index: closing artifact: %w", err)
-	}
-	tmp = nil
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("index: publishing artifact: %w", err)
-	}
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
+	if err := durable.WriteFile(path, ix.Encode()); err != nil {
+		return fmt.Errorf("index: saving artifact: %w", err)
 	}
 	return nil
 }

@@ -246,7 +246,7 @@ func (s *Service) Recover() (RecoverySummary, error) {
 	// Thread the chaos injector into the journal before any append can
 	// happen: the manifest.append site is what drives degraded-
 	// durability tests deterministically.
-	m.inj, m.seqr = s.inj, &s.seq
+	m.inj, m.seqr, m.logf = s.inj, &s.seq, s.logf
 	s.manifest = m
 	s.mu.Unlock()
 

@@ -27,6 +27,10 @@
 // is the journal truncated back to its magic. A crash between the
 // rename and the truncate is harmless: journal records with seq <= the
 // snapshot's seq are skipped during replay.
+//
+// The file mechanics (append and rollback, torn-tail truncation, the
+// atomic snapshot replace) are internal/durable's; this file owns the
+// record codec, the replay rules and the degrade/probe policy.
 package serve
 
 import (
@@ -35,12 +39,12 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"sync"
 	"time"
 
+	"fastbfs/internal/durable"
 	"fastbfs/internal/faultinject"
 	"fastbfs/tune"
 )
@@ -160,6 +164,10 @@ type ManifestStats struct {
 	Durability     string `json:"durability"`
 	DegradedReason string `json:"degraded_reason,omitempty"`
 	Degradations   int64  `json:"degradations,omitempty"`
+	// CompactionError is the last snapshot compaction's failure, empty
+	// once a later compaction succeeds. Appends stay durable meanwhile;
+	// the journal just grows until compaction works again.
+	CompactionError string `json:"compaction_error,omitempty"`
 }
 
 // Manifest is the durable graph registry: an open journal plus the
@@ -167,10 +175,9 @@ type ManifestStats struct {
 // use; appends serialize on an internal mutex (admin mutations are rare
 // and each pays one fsync).
 type Manifest struct {
-	mu   sync.Mutex
-	dir  string
-	f    *os.File // journal, positioned at its end
-	size int64    // current journal byte length
+	mu  sync.Mutex
+	dir string
+	log *durable.Log // manifest.log
 
 	seq      uint64 // last durable seq
 	snapSeq  uint64
@@ -181,7 +188,8 @@ type Manifest struct {
 	order    []string // graph names in first-load order
 	state    map[string]GraphSpec
 	closed   bool
-	compactE error // last compaction failure (appends still durable)
+	compactE error                // last compaction failure, nil after a success
+	logf     func(string, ...any) // compaction failures go here; nil drops them
 
 	// Degraded durability: a failed append (real disk fault or injected
 	// manifest.append decision) sets degraded; mutating appends then
@@ -213,16 +221,11 @@ func OpenManifest(dir string, snapshotEvery int) (*Manifest, error) {
 		state: make(map[string]GraphSpec),
 	}
 	m.loadSnapshot()
-
-	f, err := os.OpenFile(filepath.Join(dir, journalName), os.O_CREATE|os.O_RDWR, 0o644)
+	log, torn, err := durable.Open(filepath.Join(dir, journalName), manifestMagic, m.replay)
 	if err != nil {
-		return nil, fmt.Errorf("serve: manifest: %w", err)
+		return nil, fmt.Errorf("serve: manifest: journal: %w", err)
 	}
-	m.f = f
-	if err := m.replayJournal(); err != nil {
-		f.Close()
-		return nil, err
-	}
+	m.log, m.torn = log, torn
 	return m, nil
 }
 
@@ -257,22 +260,13 @@ func (m *Manifest) loadSnapshot() {
 	m.snapAt = snap.Taken
 }
 
-// replayJournal scans the journal from the start, applies every valid
-// record with seq > snapSeq, and truncates the file at the first
-// invalid frame (the torn-tail rule). A journal whose 8-byte magic is
-// missing or wrong is unreadable as a whole and is reset to empty.
-func (m *Manifest) replayJournal() error {
-	data, err := io.ReadAll(m.f)
-	if err != nil {
-		return fmt.Errorf("serve: manifest: reading journal: %w", err)
-	}
-	if len(data) < len(manifestMagic) || string(data[:len(manifestMagic)]) != manifestMagic {
-		m.torn = int64(len(data))
-		return m.resetJournal()
-	}
-	valid := int64(len(manifestMagic)) // byte offset of the last valid frame end
-	rest := data[len(manifestMagic):]
-	for len(rest) > 0 {
+// replay applies every valid journal record with seq > snapSeq and
+// returns the byte length of the valid prefix of body, the journal past
+// its magic. The first frame that is short, oversized, CRC-mismatched,
+// non-JSON or out of sequence ends it (the torn-tail rule).
+func (m *Manifest) replay(body []byte) int {
+	valid := 0
+	for rest := body; len(rest) > 0; rest = body[valid:] {
 		payload, n, ok := decodeFrame(rest)
 		if !ok {
 			break
@@ -285,8 +279,7 @@ func (m *Manifest) replayJournal() error {
 			// journal truncate — is records whose seq <= snapSeq while
 			// m.seq still equals snapSeq; those are skipped, not fatal.
 			if rec.Seq != 0 && rec.Seq <= m.snapSeq && m.seq == m.snapSeq {
-				valid += int64(n)
-				rest = rest[n:]
+				valid += n
 				continue
 			}
 			break
@@ -294,42 +287,9 @@ func (m *Manifest) replayJournal() error {
 		m.apply(rec)
 		m.seq = rec.Seq
 		m.records++
-		valid += int64(n)
-		rest = rest[n:]
+		valid += n
 	}
-	m.torn = int64(len(data)) - valid
-	if m.torn > 0 {
-		if err := m.f.Truncate(valid); err != nil {
-			return fmt.Errorf("serve: manifest: truncating torn tail: %w", err)
-		}
-		if err := m.f.Sync(); err != nil {
-			return fmt.Errorf("serve: manifest: %w", err)
-		}
-	}
-	if _, err := m.f.Seek(valid, io.SeekStart); err != nil {
-		return fmt.Errorf("serve: manifest: %w", err)
-	}
-	m.size = valid
-	return nil
-}
-
-// resetJournal rewrites the journal as empty (magic only). Used when
-// the file header itself is unreadable.
-func (m *Manifest) resetJournal() error {
-	if err := m.f.Truncate(0); err != nil {
-		return fmt.Errorf("serve: manifest: resetting journal: %w", err)
-	}
-	if _, err := m.f.WriteAt([]byte(manifestMagic), 0); err != nil {
-		return fmt.Errorf("serve: manifest: %w", err)
-	}
-	if err := m.f.Sync(); err != nil {
-		return fmt.Errorf("serve: manifest: %w", err)
-	}
-	if _, err := m.f.Seek(int64(len(manifestMagic)), io.SeekStart); err != nil {
-		return fmt.Errorf("serve: manifest: %w", err)
-	}
-	m.size = int64(len(manifestMagic))
-	return nil
+	return valid
 }
 
 // decodeFrame parses one framed record from the head of b, returning
@@ -443,6 +403,9 @@ func (m *Manifest) Stats() ManifestStats {
 		st.Durability = DurabilityDegraded
 		st.DegradedReason = m.degReason
 	}
+	if m.compactE != nil {
+		st.CompactionError = m.compactE.Error()
+	}
 	return st
 }
 
@@ -523,27 +486,18 @@ func (m *Manifest) appendLocked(rec manifestRecord) error {
 			return fmt.Errorf("%w: appending: %v", ErrNotDurable, d.Err)
 		}
 	}
-	frame := encodeFrame(nil, payload)
-	if _, err := m.f.WriteAt(frame, m.size); err != nil {
-		// Best effort: drop the partial frame so it cannot be mistaken
-		// for a torn tail of acknowledged data.
-		_ = m.f.Truncate(m.size)
+	if err := m.log.Append(encodeFrame(nil, payload)); err != nil {
 		m.degradeLocked(err)
 		return fmt.Errorf("%w: appending: %v", ErrNotDurable, err)
 	}
-	if err := m.f.Sync(); err != nil {
-		_ = m.f.Truncate(m.size)
-		m.degradeLocked(err)
-		return fmt.Errorf("%w: fsync: %v", ErrNotDurable, err)
-	}
-	m.size += int64(len(frame))
 	m.seq = rec.Seq
 	m.records++
 	m.apply(rec)
 	if m.records >= m.every {
 		// Compaction failure never fails the append — the record above
-		// is already durable; the journal just stays long.
-		m.compactE = m.compactLocked()
+		// is already durable; the journal stays long and the next
+		// append retries.
+		m.compactLocked()
 	}
 	return nil
 }
@@ -594,7 +548,8 @@ func (m *Manifest) Degraded() (bool, string) {
 // compactLocked writes the current graph set as a snapshot covering
 // m.seq, then truncates the journal. Ordering is what makes a crash at
 // any point here safe: the snapshot is durable (tmp, fsync, rename,
-// dir fsync) BEFORE any journal byte is dropped.
+// dir fsync) BEFORE any journal byte is dropped. The outcome is kept
+// for Stats (a success clears an earlier failure) and a failure logged.
 func (m *Manifest) compactLocked() error {
 	snap := manifestSnapshot{
 		Seq:    m.seq,
@@ -604,30 +559,33 @@ func (m *Manifest) compactLocked() error {
 	for _, name := range m.order {
 		snap.Graphs = append(snap.Graphs, m.state[name])
 	}
-	payload, err := json.Marshal(snap)
-	if err != nil {
-		return fmt.Errorf("serve: manifest: snapshot: %w", err)
+	img, err := encodeSnapshot(snap)
+	if err == nil {
+		err = durable.WriteFile(filepath.Join(m.dir, snapshotName), img)
 	}
-	buf := encodeFrame([]byte(snapshotMagic), payload)
-	tmp := filepath.Join(m.dir, snapshotName+".tmp")
-	if err := writeFileSync(tmp, buf); err != nil {
-		return fmt.Errorf("serve: manifest: snapshot: %w", err)
+	if err == nil {
+		err = m.log.Reset()
 	}
-	if err := os.Rename(tmp, filepath.Join(m.dir, snapshotName)); err != nil {
-		return fmt.Errorf("serve: manifest: snapshot: %w", err)
+	if m.compactE = err; err != nil {
+		if m.logf != nil {
+			m.logf("serve: manifest: compaction failed, the journal keeps growing: %v", err)
+		}
+		return fmt.Errorf("serve: manifest: compaction: %w", err)
 	}
-	syncDir(m.dir)
-	if err := m.f.Truncate(int64(len(manifestMagic))); err != nil {
-		return fmt.Errorf("serve: manifest: truncating journal: %w", err)
-	}
-	if err := m.f.Sync(); err != nil {
-		return fmt.Errorf("serve: manifest: %w", err)
-	}
-	m.size = int64(len(manifestMagic))
 	m.snapSeq = m.seq
 	m.snapAt = snap.Taken
 	m.records = 0
 	return nil
+}
+
+// encodeSnapshot returns the manifest.snap image of snap: the snapshot
+// magic and one frame holding its JSON.
+func encodeSnapshot(snap manifestSnapshot) ([]byte, error) {
+	payload, err := json.Marshal(snap)
+	if err != nil {
+		return nil, err
+	}
+	return encodeFrame([]byte(snapshotMagic), payload), nil
 }
 
 // Close releases the journal file handle. Appended records are already
@@ -639,34 +597,5 @@ func (m *Manifest) Close() error {
 		return nil
 	}
 	m.closed = true
-	return m.f.Close()
-}
-
-// writeFileSync writes data to path and fsyncs it before returning.
-func writeFileSync(path string, data []byte) error {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// syncDir fsyncs a directory so a rename within it is durable. Failure
-// is ignored: some filesystems reject directory fsync, and the rename
-// itself is still ordered after the file's own fsync.
-func syncDir(dir string) {
-	d, err := os.Open(dir)
-	if err != nil {
-		return
-	}
-	_ = d.Sync()
-	_ = d.Close()
+	return m.log.Close()
 }

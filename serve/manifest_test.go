@@ -3,11 +3,19 @@ package serve
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
+	"fmt"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
+	"sync"
 	"testing"
+	"time"
+
+	"fastbfs/graph/gen"
 )
 
 // reopen closes m and opens a fresh manifest over the same dir, as a
@@ -291,6 +299,187 @@ func TestManifestUnloadUnknownTolerated(t *testing.T) {
 	defer m2.Close()
 	if got := m2.State(); !reflect.DeepEqual(got, specs("a")) {
 		t.Fatalf("state = %+v, want a", got)
+	}
+}
+
+// Golden manifest bytes: the format as earlier builds wrote it. A test
+// that fails on them means the on-disk format changed, and state dirs
+// those builds left may no longer reopen.
+const (
+	goldenManifestLog = "464246534d414e3132000000425eb9027b22736571223a312c226f70223a226c" +
+		"6f6164222c226e616d65223a2261222c2270617468223a222f672f612e637372" +
+		"227d3e0000007e92b1637b22736571223a322c226f70223a226c6f6164222c22" +
+		"6e616d65223a2262222c2270617468223a222f672f622e637372222c226d6d61" +
+		"70223a747275657d760000003ade8a267b22736571223a332c226f70223a2269" +
+		"6e646578222c226e616d65223a2261222c2270617468223a222d222c22696e64" +
+		"6578223a7b2270617468223a222f672f612e6373722e696478222c226c616e64" +
+		"6d61726b73223a31362c22706f6c696379223a22646567726565222c22736565" +
+		"64223a337d7d"
+	goldenManifestSnap = "46424653534e5031d100000019891bfb7b22736571223a332c2274616b656e22" +
+		"3a22323032362d30312d30325430333a30343a30352e3030303030303030365a" +
+		"222c22677261706873223a5b7b226e616d65223a2261222c2270617468223a22" +
+		"2f672f612e637372222c22696e646578223a7b2270617468223a222f672f612e" +
+		"6373722e696478222c226c616e646d61726b73223a31362c22706f6c69637922" +
+		"3a22646567726565222c2273656564223a337d7d2c7b226e616d65223a226222" +
+		"2c2270617468223a222f672f622e637372222c226d6d6170223a747275657d5d" +
+		"7d"
+)
+
+// TestManifestGoldenBytes: a fixed record sequence writes manifest.log
+// byte for byte as before, and the snapshot encoder writes manifest.snap
+// as before for a fixed time; compaction writes exactly what the encoder
+// returns for its own time.
+func TestManifestGoldenBytes(t *testing.T) {
+	dir := t.TempDir()
+	m, err := OpenManifest(dir, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	for _, err := range []error{
+		m.AppendLoad(GraphSpec{Name: "a", Path: "/g/a.csr"}),
+		m.AppendLoad(GraphSpec{Name: "b", Path: "/g/b.csr", Mmap: true}),
+		m.AppendIndex("a", IndexSpec{Path: "/g/a.csr.idx", Landmarks: 16, Policy: "degree", Seed: 3}),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := os.ReadFile(filepath.Join(dir, journalName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hex.EncodeToString(got) != goldenManifestLog {
+		t.Fatalf("manifest.log changed:\n got %x\nwant %s", got, goldenManifestLog)
+	}
+	img, err := encodeSnapshot(manifestSnapshot{Seq: 3, Taken: time.Date(2026, 1, 2, 3, 4, 5, 6, time.UTC), Graphs: m.State()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hex.EncodeToString(img) != goldenManifestSnap {
+		t.Fatalf("manifest.snap encoding changed:\n got %x\nwant %s", img, goldenManifestSnap)
+	}
+
+	if err := m.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	st := m.Stats()
+	want, err := encodeSnapshot(manifestSnapshot{Seq: st.SnapshotSeq, Taken: st.SnapshotAt, Graphs: m.State()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(filepath.Join(dir, snapshotName)); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("compaction wrote %x (%v), the encoder gives %x", got, err, want)
+	}
+}
+
+// TestManifestTornOffsets: manifest.log cut at every byte offset inside
+// its last frame reopens with exactly the records before that frame, and
+// the file truncated to them.
+func TestManifestTornOffsets(t *testing.T) {
+	dir := t.TempDir()
+	m, err := OpenManifest(dir, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range specs("a", "b", "c") {
+		if err := m.AppendLoad(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m.Close()
+	full, err := os.ReadFile(filepath.Join(dir, journalName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := frameEnd(t, full, 2)
+	cutDir := t.TempDir()
+	path := filepath.Join(cutDir, journalName)
+	for cut := last + 1; cut < len(full); cut++ {
+		if err := os.WriteFile(path, full[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		m, err := OpenManifest(cutDir, 100)
+		if err != nil {
+			t.Fatalf("cut at %d: %v", cut, err)
+		}
+		got, st := m.State(), m.Stats()
+		m.Close()
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, specs("a", "b")) || st.TornBytes != int64(cut-last) || fi.Size() != int64(last) {
+			t.Fatalf("cut at %d: state %+v, %d torn bytes, file %d bytes; want a,b, %d, %d", cut, got, st.TornBytes, fi.Size(), cut-last, last)
+		}
+	}
+}
+
+// TestManifestCompactionErrorInStats: a failing compaction keeps the
+// append it rides on, is logged, and shows as compaction_error in /stats
+// until a later compaction succeeds.
+func TestManifestCompactionErrorInStats(t *testing.T) {
+	stateDir := t.TempDir()
+	g, err := gen.Grid2D(4, 4, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := saveGraph(t, g, "g.csr")
+	var mu sync.Mutex
+	var logged []string
+	s := New(Config{StateDir: stateDir, SnapshotEvery: 2, Logf: func(format string, args ...any) {
+		mu.Lock()
+		defer mu.Unlock()
+		logged = append(logged, fmt.Sprintf(format, args...))
+	}})
+	defer shutdown(t, s)
+	if _, err := s.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	// A directory where the snapshot's temp file goes fails compaction.
+	blocker := filepath.Join(stateDir, snapshotName+".tmp")
+	if err := os.Mkdir(blocker, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	compactionError := func() string {
+		rec := httptest.NewRecorder()
+		NewHandler(s).ServeHTTP(rec, httptest.NewRequest("GET", "/stats", nil))
+		var st struct {
+			CompactionError *string `json:"compaction_error"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+			t.Fatal(err)
+		}
+		if st.CompactionError == nil {
+			return ""
+		}
+		return *st.CompactionError
+	}
+	for _, name := range []string{"a", "b"} {
+		if _, err := s.LoadGraph(name, path); err != nil {
+			t.Fatalf("load %s with compaction failing: %v", name, err)
+		}
+	}
+	if e := compactionError(); !strings.Contains(e, "is a directory") {
+		t.Fatalf("compaction_error = %q after a failed compaction", e)
+	}
+	mu.Lock()
+	n := len(logged)
+	mu.Unlock()
+	if n == 0 || !strings.Contains(logged[n-1], "compaction") {
+		t.Fatalf("failed compaction not logged: %q", logged)
+	}
+	if err := os.Remove(blocker); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.LoadGraph("c", path); err != nil {
+		t.Fatal(err)
+	}
+	if e := compactionError(); e != "" {
+		t.Fatalf("compaction_error = %q after a successful compaction", e)
+	}
+	if st := s.manifest.Stats(); st.SnapshotSeq != 3 || st.Records != 0 {
+		t.Fatalf("retried compaction: snapshot seq %d, %d journal records; want 3, 0", st.SnapshotSeq, st.Records)
 	}
 }
 

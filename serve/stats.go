@@ -129,9 +129,12 @@ type StatsSnapshot struct {
 	// after a disk fault (appends refused, queries still exact) until a
 	// probe append restores it; empty in stateless mode. DegradedReason
 	// carries the fault; Degradations counts lifetime transitions.
-	Durability     string `json:"durability,omitempty"`
-	DegradedReason string `json:"degraded_reason,omitempty"`
-	Degradations   int64  `json:"degradations,omitempty"`
+	// CompactionError is the last snapshot compaction's failure, cleared
+	// by the next successful one (appends stay durable meanwhile).
+	Durability      string `json:"durability,omitempty"`
+	DegradedReason  string `json:"degraded_reason,omitempty"`
+	Degradations    int64  `json:"degradations,omitempty"`
+	CompactionError string `json:"compaction_error,omitempty"`
 }
 
 // Stats returns a snapshot of the service counters.
@@ -191,6 +194,7 @@ func (s *Service) Stats() StatsSnapshot {
 		snap.Durability = ms.Durability
 		snap.DegradedReason = ms.DegradedReason
 		snap.Degradations = ms.Degradations
+		snap.CompactionError = ms.CompactionError
 	}
 	return snap
 }
