@@ -68,13 +68,12 @@ type Config struct {
 	// the p99 of recently observed healthy RPC latencies; negative
 	// disables hedging.
 	HedgeAfter time.Duration
-	// AuditReplicas makes the coordinator cross-check every replica's
-	// expand response (CRC32 of the canonical frame bytes) instead of
-	// serving the first success. Replicas run the round protocol in
-	// deterministic lockstep, so honest responses are byte-identical and
-	// any divergence is proof of silent corruption: the quorum answer is
-	// served and divergent minority replicas are marked dead for the
-	// epoch with ErrDiverged. Meaningful only with Replicas >= 2.
+	// AuditReplicas serves a group's answer only when a strict majority
+	// of its successful replies agree (CRC32 of the canonical payload):
+	// lockstep replicas answer byte-identically, so an outvoted replica
+	// is silently corrupt and dead for the epoch with ErrDiverged.
+	// Without it the first success is served unchecked. Meaningful only
+	// with Replicas >= 2.
 	AuditReplicas bool
 	// Injector, when non-nil, disturbs the coordinator's send path
 	// (faultinject.SiteCoordSend) for chaos tests.
@@ -505,26 +504,17 @@ func (c *Coordinator) runEpoch(ctx context.Context, epoch uint64, source uint32,
 		// replicas of a group receive the same message (the barrier keeps
 		// them in lockstep, which is what makes mid-epoch failover
 		// possible).
-		type reply struct {
-			group int
-			resp  *ExpandResponse
-			err   error
-		}
-		replies := make([]reply, 0, ngroups)
-		var mu sync.Mutex
+		resps := make([]*ExpandResponse, ngroups)
+		errs := make([]error, ngroups)
 		var wg sync.WaitGroup
-		for g := 0; g < ngroups; g++ {
-			if c.groupDead(g, dead) {
-				continue
+		for g := range ngroups {
+			if !c.groupDead(g, dead) {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					resps[g], errs[g] = c.expandGroup(ctx, g, cand[g], dead, res)
+				}()
 			}
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				resp, err := c.expandGroup(ctx, g, cand[g], dead, res)
-				mu.Lock()
-				replies = append(replies, reply{g, resp, err})
-				mu.Unlock()
-			}(g)
 		}
 		wg.Wait()
 
@@ -533,11 +523,11 @@ func (c *Coordinator) runEpoch(ctx context.Context, epoch uint64, source uint32,
 		for g := range next {
 			next[g] = NewFrontier(epoch, round+1, uint32(g), c.lo[g], c.hi[g])
 		}
-		for _, r := range replies {
-			switch {
-			case r.err == nil:
-				claimed += int64(r.resp.Claimed)
-				for _, f := range r.resp.Out {
+		for g, resp := range resps {
+			switch err := errs[g]; {
+			case resp != nil:
+				claimed += int64(resp.Claimed)
+				for _, f := range resp.Out {
 					if int(f.Shard) >= ngroups {
 						return fmt.Errorf("%w: discovery frame for shard %d of %d", ErrWire, f.Shard, ngroups)
 					}
@@ -545,12 +535,11 @@ func (c *Coordinator) runEpoch(ctx context.Context, epoch uint64, source uint32,
 						return err
 					}
 				}
-			case errors.Is(r.err, errEpochRestart):
-				return r.err
-			case errors.Is(r.err, errShardDead):
-				log.Printf("coord: epoch %d round %d: group %d fully dead (%v); degrading", epoch, round, r.group, r.err)
+			case err == nil: // dead before the round: not sent
+			case errors.Is(err, errShardDead):
+				log.Printf("coord: epoch %d round %d: group %d fully dead (%v); degrading", epoch, round, g, err)
 			default:
-				return r.err
+				return err
 			}
 		}
 
@@ -558,7 +547,7 @@ func (c *Coordinator) runEpoch(ctx context.Context, epoch uint64, source uint32,
 			res.ClaimedPerRound = append(res.ClaimedPerRound, claimed)
 			res.Rounds = int(round) + 1
 		}
-		if claimed == 0 || c.allGroupsDead(dead) {
+		if claimed == 0 || !slices.Contains(dead, false) {
 			break
 		}
 		for g := range next {
@@ -613,55 +602,21 @@ func (c *Coordinator) runEpoch(ctx context.Context, epoch uint64, source uint32,
 
 // groupDead reports whether every replica of group g is dead.
 func (c *Coordinator) groupDead(g int, dead []bool) bool {
-	for r := 0; r < c.cfg.Replicas; r++ {
-		if !dead[g*c.cfg.Replicas+r] {
-			return false
-		}
-	}
-	return true
-}
-
-func (c *Coordinator) allGroupsDead(dead []bool) bool {
-	for g := 0; g < c.groups; g++ {
-		if !c.groupDead(g, dead) {
-			return false
-		}
-	}
-	return true
+	R := c.cfg.Replicas
+	return !slices.Contains(dead[g*R:(g+1)*R], false)
 }
 
 // expandGroup delivers one round message to every live replica of group
-// g in parallel and returns the group's answer for the round. Replicas
-// are deterministic lockstep copies, so honest responses to one round
-// are byte-identical; with AuditReplicas set the successful responses
-// are cross-checked (CRC32 of canonical bytes) and the strict-majority
-// quorum is served — divergent minority replicas are silent corruption,
-// marked dead for the epoch with ErrDiverged. After the first valid
-// response the group waits at most hedgeDelay for stragglers (the
-// hedge): a gray-failed slow-but-alive replica cannot stall the epoch —
-// its request is cancelled, it is abandoned for the epoch, and the round
-// proceeds on its siblings' answers. Replicas that fail — exhausted
-// recovery budget, or lost their round state while a sibling still has
-// it — are marked dead for the epoch and the round proceeds on the
-// survivors: that is the failover. Typed outcomes:
-//
-//   - ErrFenced from any replica is fatal (this coordinator is deposed);
-//   - ErrDiverged (wrapped) when auditing found no strict majority to
-//     serve (caller restarts the epoch rather than serve corruption);
-//   - errEpochRestart when no replica succeeded but at least one is
-//     alive-but-stateless (only a fresh epoch can proceed);
-//   - errShardDead when the entire group is dead (caller degrades).
+// g in parallel and waits for them all, because a replica that misses a
+// round leaves lockstep, but no longer than the hedge budget past the
+// first valid reply, so a gray-failed slow replica cannot stall the
+// epoch. settle decides the round; the replicas it names are dead for
+// the epoch.
 func (c *Coordinator) expandGroup(ctx context.Context, g int, f *Frontier, dead []bool, res *Result) (*ExpandResponse, error) {
 	R := c.cfg.Replicas
-	type reply struct {
-		u    int
-		resp *ExpandResponse
-		crc  uint32
-		err  error
-	}
 	var live []int
-	for r := 0; r < R; r++ {
-		if u := g*R + r; !dead[u] {
+	for u := g * R; u < (g+1)*R; u++ {
+		if !dead[u] {
 			live = append(live, u)
 		}
 	}
@@ -670,7 +625,7 @@ func (c *Coordinator) expandGroup(ctx context.Context, g int, f *Frontier, dead 
 	// hedged round leaks no in-flight request goroutine.
 	gctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	ch := make(chan reply, len(live))
+	ch := make(chan groupReply, len(live))
 	for _, u := range live {
 		go func(u int) {
 			start := time.Now()
@@ -678,148 +633,49 @@ func (c *Coordinator) expandGroup(ctx context.Context, g int, f *Frontier, dead 
 			if err == nil {
 				c.recordLatency(time.Since(start))
 			}
-			ch <- reply{u, resp, crc, err}
+			ch <- groupReply{u, resp, crc, err}
 		}(u)
 	}
 
-	replies := make([]reply, 0, len(live))
-	succ := 0
-	var hedgeTimer *time.Timer
+	replies := make([]groupReply, 0, len(live))
 	var hedgeC <-chan time.Time
-	defer func() {
-		if hedgeTimer != nil {
-			hedgeTimer.Stop()
-		}
-	}()
 	hedged := false
-	for outstanding := len(live); outstanding > 0; {
+	for len(replies) < len(live) && !hedged {
 		select {
 		case r := <-ch:
-			outstanding--
-			replies = append(replies, r)
 			if errors.Is(r.err, ErrFenced) {
 				return nil, r.err
 			}
-			if r.err == nil {
-				succ++
-				if hedgeC == nil && outstanding > 0 {
-					if d := c.hedgeDelay(); d > 0 {
-						hedgeTimer = time.NewTimer(d)
-						hedgeC = hedgeTimer.C
-					}
+			replies = append(replies, r)
+			if r.err == nil && hedgeC == nil && len(replies) < len(live) {
+				if d := c.hedgeDelay(); d > 0 {
+					t := time.NewTimer(d)
+					defer t.Stop()
+					hedgeC = t.C
 				}
 			}
 		case <-hedgeC:
-			// The hedge: a valid response is in hand and a straggler has
-			// overstayed its budget. Stop waiting — the round proceeds on
-			// the responses already held.
 			hedged = true
 			c.hedges.Add(1)
-			outstanding = 0
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
 	}
-	if hedged {
-		cancel() // release stragglers' in-flight requests now, not at return
-		answered := make(map[int]bool, len(replies))
-		for _, r := range replies {
-			answered[r.u] = true
-		}
-		for _, u := range live {
-			if !answered[u] {
-				// A straggler misses this round, so lockstep is broken for
-				// it: dead for the epoch, readmitted next epoch.
-				dead[u] = true
-				c.failovers.Add(1)
-				log.Printf("coord: epoch %d round %d: group %d replica %d overstayed the hedge budget; abandoned for epoch",
-					f.Epoch, f.Round, g, u%R)
-			}
-		}
-	}
 
-	// The audit: bucket successful responses by canonical-bytes CRC and
-	// serve only a strict majority. Divergent minorities are marked dead
-	// with ErrDiverged; with no strict majority (two replicas that
-	// disagree, or a three-way split) nothing trustworthy can be served
-	// and the epoch restarts.
-	if c.cfg.AuditReplicas && succ > 1 {
-		counts := make(map[uint32]int, 2)
-		for _, r := range replies {
-			if r.err == nil {
-				counts[r.crc]++
-			}
-		}
-		if len(counts) > 1 {
-			var winner uint32
-			haveQuorum := false
-			for crc, n := range counts {
-				if 2*n > succ {
-					winner, haveQuorum = crc, true
-				}
-			}
-			if !haveQuorum {
-				return nil, fmt.Errorf("%w: group %d round %d: %d distinct answers among %d replicas, no quorum",
-					ErrDiverged, g, f.Round, len(counts), succ)
-			}
-			for i := range replies {
-				r := &replies[i]
-				if r.err == nil && r.crc != winner {
-					dead[r.u] = true
-					c.divergences.Add(1)
-					r.err = fmt.Errorf("%w: group %d round %d replica %d outvoted %d-to-%d",
-						ErrDiverged, g, f.Round, r.u%R, counts[winner], counts[r.crc])
-					log.Printf("coord: %v; replica dead for epoch", r.err)
-				}
-			}
-		}
+	o := settle(live, replies, hedged, c.cfg.AuditReplicas)
+	for _, d := range o.dead {
+		dead[d.u] = true
+		log.Printf("coord: epoch %d round %d: group %d replica %d dead for epoch: %v", f.Epoch, f.Round, g, d.u%R, d.err)
 	}
-
-	var best *ExpandResponse
-	restartable := false
-	for _, r := range replies {
-		switch {
-		case r.err == nil:
-			if best == nil {
-				best = r.resp
-			}
-		case errors.Is(r.err, ErrFenced):
-			return nil, r.err
-		case errors.Is(r.err, errEpochRestart):
-			restartable = true
-		case errors.Is(r.err, errShardDead), errors.Is(r.err, ErrDiverged):
-		default:
-			return nil, r.err
-		}
+	c.failovers.Add(int64(o.failovers))
+	c.divergences.Add(int64(o.divergences))
+	if o.hedgeWin {
+		c.hedgeWins.Add(1)
 	}
-	if best != nil {
-		for _, r := range replies {
-			// Diverged replicas were already marked and counted above.
-			if r.err != nil && !errors.Is(r.err, ErrDiverged) {
-				dead[r.u] = true
-				c.failovers.Add(1)
-				log.Printf("coord: epoch %d round %d: group %d replica %d dead for epoch (%v); failing over",
-					f.Epoch, f.Round, g, r.u%R, r.err)
-			}
-		}
-		if hedged {
-			c.hedgeWins.Add(1)
-		}
-		return best, nil
+	if o.err != nil {
+		return nil, fmt.Errorf("group %d epoch %d round %d: %w", g, f.Epoch, f.Round, o.err)
 	}
-	for _, r := range replies {
-		if errors.Is(r.err, errShardDead) {
-			dead[r.u] = true
-			if restartable {
-				c.failovers.Add(1)
-			}
-		}
-	}
-	if restartable {
-		return nil, fmt.Errorf("%w: group %d has live replicas but none hold epoch %d round %d state",
-			errEpochRestart, g, f.Epoch, f.Round)
-	}
-	return nil, fmt.Errorf("%w: all %d replicas of group %d", errShardDead, R, g)
+	return o.best, nil
 }
 
 // recordLatency feeds a successful expand round-trip into the latency
@@ -837,12 +693,9 @@ func (c *Coordinator) recordLatency(d time.Duration) {
 // hedgeDelay is how long past a round's first valid response a group
 // keeps waiting for stragglers (see hedgeBudget).
 func (c *Coordinator) hedgeDelay() time.Duration {
-	var lats []time.Duration
-	if c.cfg.HedgeAfter == 0 {
-		c.latMu.Lock()
-		lats = append(lats, c.latRing[:c.latLen]...)
-		c.latMu.Unlock()
-	}
+	c.latMu.Lock()
+	lats := slices.Clone(c.latRing[:c.latLen])
+	c.latMu.Unlock()
 	return hedgeBudget(c.cfg.HedgeAfter, c.cfg.RPCTimeout, lats)
 }
 
@@ -881,10 +734,12 @@ func hedgeBudget(hedgeAfter, rpcTimeout time.Duration, lats []time.Duration) tim
 // depthsGroup fetches group g's committed depth slice for epoch from
 // any live replica, failing over in replica order. The round barrier
 // guarantees every live replica processed every round, so any of them
-// holds the complete slice.
+// holds the complete slice. Each replica passed over for a sibling's
+// answer counts one failover.
 func (c *Coordinator) depthsGroup(ctx context.Context, g int, epoch uint64, dead []bool) (*DepthSlice, error) {
 	R := c.cfg.Replicas
 	var lastErr error
+	failed := 0
 	for r := 0; r < R; r++ {
 		u := g*R + r
 		if dead[u] {
@@ -893,20 +748,25 @@ func (c *Coordinator) depthsGroup(ctx context.Context, g int, epoch uint64, dead
 		d, err := c.depths(ctx, u, epoch)
 		switch {
 		case err == nil:
+			c.failovers.Add(int64(failed))
 			return d, nil
-		case errors.Is(err, ErrFenced):
-			return nil, err
-		case errors.Is(err, errShardDead), errors.Is(err, errEpochRestart):
-			// Dead, or alive but lost the epoch post-round: either way this
-			// replica cannot report; try a sibling.
+		case errors.Is(err, errShardDead), errors.Is(err, errEpochRestart), errors.Is(err, ErrWire):
+			// Dead, alive but lost the epoch post-round, or answered
+			// undecodably: this replica cannot report; try a sibling.
+			log.Printf("coord: epoch %d: group %d replica %d dead for epoch: %v", epoch, g, r, err)
 			dead[u] = true
-			lastErr = err
+			failed++
+			if !errors.Is(lastErr, ErrWire) {
+				lastErr = err
+			}
 		default:
 			return nil, err
 		}
 	}
-	if lastErr == nil {
-		lastErr = errors.New("no live replica")
+	if errors.Is(lastErr, ErrWire) {
+		// As in a round: an undecodable reply that no sibling outweighs
+		// fails the query rather than degrading it.
+		return nil, lastErr
 	}
 	return nil, fmt.Errorf("%w: group %d depths: %v", errShardDead, g, lastErr)
 }

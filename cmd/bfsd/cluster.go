@@ -69,8 +69,6 @@ type clusterFlags struct {
 	recoveryBudget time.Duration
 	heartbeat      time.Duration
 	maxAttempts    int
-	hedgeAfter     time.Duration
-	auditReplicas  bool
 }
 
 // signalContext is the shared SIGINT/SIGTERM context for the blocking

@@ -382,8 +382,7 @@ func clusterCoordConfig(cf clusterFlags) coord.Config {
 		MaxAttempts:       cf.maxAttempts,
 		RecoveryBudget:    cf.recoveryBudget,
 		HeartbeatInterval: cf.heartbeat,
-		HedgeAfter:        cf.hedgeAfter,
-		AuditReplicas:     cf.auditReplicas,
+		AuditReplicas:     true,
 		Backoff:           coord.Backoff{Base: 25 * time.Millisecond, Max: time.Second, Jitter: 0.5, Seed: 1},
 	}
 }

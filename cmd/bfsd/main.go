@@ -149,8 +149,6 @@ func main() {
 	flag.DurationVar(&cf.recoveryBudget, "recovery-budget", 15*time.Second, "coordinator: how long a failing shard may stay unreachable before failover/degradation")
 	flag.DurationVar(&cf.heartbeat, "heartbeat", 500*time.Millisecond, "coordinator: shard health probe interval")
 	flag.IntVar(&cf.maxAttempts, "max-attempts", 4, "coordinator: guaranteed per-round delivery attempts per shard")
-	flag.DurationVar(&cf.hedgeAfter, "hedge-after", 0, "coordinator: stop waiting for straggler replicas this long after a round's first valid response (0 = adaptive from observed p99, negative disables hedging)")
-	flag.BoolVar(&cf.auditReplicas, "audit-replicas", true, "coordinator: with -replicas >= 2, cross-check replica responses byte-for-byte and serve the quorum answer (diverging replicas are evicted for the epoch)")
 	flag.Parse()
 	cf.stateDir = *stateDir
 

@@ -7,6 +7,11 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"os"
+	"os/exec"
+	"regexp"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 )
@@ -37,6 +42,52 @@ func TestSplitGraphFlag(t *testing.T) {
 			t.Errorf("splitGraphFlag(%q) = (%q, %q), want (%q, %q)", c.flag, name, source, c.name, c.source)
 		}
 	}
+}
+
+// TestFlagTable holds the README's "flag → operator decision" table and
+// the flags bfsd -h lists to one set: a flag added without a row, or a
+// row left behind by a deleted flag, fails, so the flag count cannot
+// drift up unnoticed.
+func TestFlagTable(t *testing.T) {
+	out, err := exec.Command(bfsdBin, "-h").CombinedOutput()
+	if err != nil {
+		// -h exits 0; anything else means the usage was not printed.
+		t.Fatalf("bfsd -h: %v\n%s", err, out)
+	}
+	var flags []string
+	for _, m := range regexp.MustCompile(`(?m)^  -(\S+)`).FindAllStringSubmatch(string(out), -1) {
+		flags = append(flags, m[1])
+	}
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, table, ok := strings.Cut(string(readme), "### `bfsd` flags: one operator decision each")
+	if !ok {
+		t.Fatal("README has no bfsd flag table section")
+	}
+	table, _, _ = strings.Cut(table, "\n#")
+	var rows []string
+	for _, m := range regexp.MustCompile("(?m)^\\| `-([a-z-]+)` \\|").FindAllStringSubmatch(table, -1) {
+		rows = append(rows, m[1])
+	}
+	if len(flags) == 0 || len(rows) == 0 {
+		t.Fatalf("parsed %d flags from -h and %d README rows", len(flags), len(rows))
+	}
+	for _, f := range flags {
+		if !slices.Contains(rows, f) {
+			t.Errorf("flag -%s has no row in README's bfsd flag table", f)
+		}
+	}
+	for _, r := range rows {
+		if !slices.Contains(flags, r) {
+			t.Errorf("README's bfsd flag table has a row for -%s, which bfsd no longer defines", r)
+		}
+	}
+	if len(rows) != len(flags) {
+		t.Errorf("README's bfsd flag table has %d rows for %d flags (duplicate row?)", len(rows), len(flags))
+	}
+	t.Logf("bfsd defines %d flags", len(flags))
 }
 
 // drainServer is an http.Server answering "ok" with a freshConns hook.
